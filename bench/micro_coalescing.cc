@@ -114,7 +114,7 @@ double RunRemotePulls(bool coalescing, double* batch_size_mean) {
   });
 
   if (batch_size_mean != nullptr) {
-    const auto& batches = system.node_stats(0).coalesce_batches;
+    const Counter batches = system.node_stats(0).coalesce_batches;
     *batch_size_mean =
         batches.count() > 0
             ? static_cast<double>(batches.sum()) /

@@ -4,6 +4,10 @@
 //
 //   local_pull      -- Pull of owned keys (shared-memory fast path)
 //   local_push      -- Push of owned keys (shared-memory fast path)
+//   local_pull_2w   -- local_pull with 2 workers on one node, each on its
+//   local_push_2w      own half of the keys (combined ops/s): the shape
+//                      of a DSGD subepoch, where any cache line the
+//                      node's workers both write shows up as contention
 //   remote_pull     -- Pull of keys owned by another node (message path,
 //                      zero simulated latency: isolates software overhead)
 //   localize_rt     -- Localize round-trip for remote keys (3-message
@@ -47,11 +51,18 @@ constexpr double kBaselineLocalPull = 2232204.0;
 constexpr double kBaselineLocalPush = 1957185.0;
 constexpr double kBaselineRemotePull = 60557.0;
 constexpr double kBaselineLocalizeRt = 52033.0;
+// The two-worker rows' baseline: the same rows on the pooled-latch,
+// node-shared-counter fast path (a 1024-slot padded latch pool and one
+// counter line both workers wrote on every op), medians of 3 runs
+// interleaved with the per-key-latch, per-thread-counter code on one
+// 4-vCPU host.
+constexpr double kBaselineLocalPull2w = 6495123.0;
+constexpr double kBaselineLocalPush2w = 3080312.0;
 
-ps::Config LocalConfig() {
+ps::Config LocalConfig(int workers) {
   ps::Config cfg;
   cfg.num_nodes = 1;
-  cfg.workers_per_node = 1;
+  cfg.workers_per_node = workers;
   cfg.num_keys = 4096;
   cfg.uniform_value_length = kLen;
   cfg.arch = ps::Architecture::kLapse;
@@ -74,8 +85,8 @@ ps::Config RemoteConfig(uint64_t num_keys) {
   return cfg;
 }
 
-// Fills `keys` with kKeysPerOp distinct keys from [begin, end), striding so
-// consecutive ops touch different latch slots.
+// Fills `keys` with kKeysPerOp distinct keys from [begin, end); consecutive
+// ops take consecutive keys, wrapping around the range.
 void FillBatch(uint64_t i, uint64_t begin, uint64_t end,
                std::vector<Key>* keys) {
   const uint64_t range = end - begin;
@@ -85,46 +96,41 @@ void FillBatch(uint64_t i, uint64_t begin, uint64_t end,
   }
 }
 
-double MeasureLocalPull(int64_t ops) {
-  ps::PsSystem system(LocalConfig());
-  double secs = 0;
+// Local pulls (or pushes) by `workers` workers of one node, each cycling
+// through its own contiguous share of the 4096 keys; returns the combined
+// ops/s over the slowest worker's timed loop.
+double MeasureLocal(bool push, int workers, int64_t ops) {
+  constexpr uint64_t kKeys = 4096;
+  ps::PsSystem system(LocalConfig(workers));
+  std::vector<double> secs(static_cast<size_t>(workers), 0.0);
   system.Run([&](ps::Worker& w) {
+    const uint64_t share = kKeys / static_cast<uint64_t>(workers);
+    const uint64_t begin = share * static_cast<uint64_t>(w.worker_id());
     std::vector<Key> keys;
-    std::vector<Val> buf(kKeysPerOp * kLen);
+    std::vector<Val> buf(kKeysPerOp * kLen, 0.5f);
+    auto op = [&](int64_t i) {
+      FillBatch(static_cast<uint64_t>(i), begin, begin + share, &keys);
+      if (push) {
+        w.Push(keys, buf.data());
+      } else {
+        w.Pull(keys, buf.data());
+      }
+    };
     // Warmup: touch all keys so storage slots exist.
-    for (int64_t i = 0; i < 1000; ++i) {
-      FillBatch(static_cast<uint64_t>(i), 0, 4096, &keys);
-      w.Pull(keys, buf.data());
-    }
+    for (int64_t i = 0; i < 1000; ++i) op(i);
+    w.Barrier();
     Timer t;
-    for (int64_t i = 0; i < ops; ++i) {
-      FillBatch(static_cast<uint64_t>(i), 0, 4096, &keys);
-      w.Pull(keys, buf.data());
-    }
-    secs = t.ElapsedSeconds();
+    for (int64_t i = 0; i < ops; ++i) op(i);
+    secs[static_cast<size_t>(w.worker_id())] = t.ElapsedSeconds();
   });
-  return static_cast<double>(ops) / secs;
+  const double slowest = *std::max_element(secs.begin(), secs.end());
+  return static_cast<double>(ops) * workers / slowest;
 }
 
-double MeasureLocalPush(int64_t ops) {
-  ps::PsSystem system(LocalConfig());
-  double secs = 0;
-  system.Run([&](ps::Worker& w) {
-    std::vector<Key> keys;
-    std::vector<Val> upd(kKeysPerOp * kLen, 0.5f);
-    for (int64_t i = 0; i < 1000; ++i) {
-      FillBatch(static_cast<uint64_t>(i), 0, 4096, &keys);
-      w.Push(keys, upd.data());
-    }
-    Timer t;
-    for (int64_t i = 0; i < ops; ++i) {
-      FillBatch(static_cast<uint64_t>(i), 0, 4096, &keys);
-      w.Push(keys, upd.data());
-    }
-    secs = t.ElapsedSeconds();
-  });
-  return static_cast<double>(ops) / secs;
-}
+double MeasureLocalPull(int64_t ops) { return MeasureLocal(false, 1, ops); }
+double MeasureLocalPush(int64_t ops) { return MeasureLocal(true, 1, ops); }
+double MeasureLocalPull2w(int64_t ops) { return MeasureLocal(false, 2, ops); }
+double MeasureLocalPush2w(int64_t ops) { return MeasureLocal(true, 2, ops); }
 
 double MeasureRemotePull(int64_t ops) {
   constexpr uint64_t kKeys = 4096;
@@ -209,6 +215,12 @@ int main() {
   const double local_push = push_reps.median;
   std::printf("local_push    %12.0f ops/s (median of %d, spread %.2fx)\n",
               local_push, kLocalReps, push_reps.spread);
+  const RepResult pull2_reps = Repeat(MeasureLocalPull2w, 400'000);
+  std::printf("local_pull_2w %12.0f ops/s (median of %d, spread %.2fx)\n",
+              pull2_reps.median, kLocalReps, pull2_reps.spread);
+  const RepResult push2_reps = Repeat(MeasureLocalPush2w, 400'000);
+  std::printf("local_push_2w %12.0f ops/s (median of %d, spread %.2fx)\n",
+              push2_reps.median, kLocalReps, push2_reps.spread);
   const double remote_pull = MeasureRemotePull(30'000);
   std::printf("remote_pull   %12.0f ops/s\n", remote_pull);
   const double localize_rt = MeasureLocalizeRoundTrip(10'000);
@@ -223,6 +235,10 @@ int main() {
       // above); deltas inside these bands are not regressions.
       {"local_pull_spread", pull_reps.spread, 0.0},
       {"local_push_spread", push_reps.spread, 0.0},
+      {"local_pull_2w", pull2_reps.median, kBaselineLocalPull2w},
+      {"local_push_2w", push2_reps.median, kBaselineLocalPush2w},
+      {"local_pull_2w_spread", pull2_reps.spread, 0.0},
+      {"local_push_2w_spread", push2_reps.spread, 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_hotpath.json", "micro_hotpath",
                              metrics)) {

@@ -45,8 +45,13 @@ std::string EscapeJson(const std::string& s) {
 }  // namespace
 
 void MetricsRegistry::AddCounter(std::string name, const Counter* counter) {
+  AddCounter(std::move(name), std::vector<const Counter*>{counter});
+}
+
+void MetricsRegistry::AddCounter(std::string name,
+                                 std::vector<const Counter*> parts) {
   MutexLock lock(mu_);
-  counters_.push_back({std::move(name), counter});
+  counters_.push_back({std::move(name), std::move(parts)});
 }
 
 void MetricsRegistry::AddGauge(std::string name,
@@ -67,7 +72,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snap.taken_ns = NowNanos();
   snap.counters.reserve(counters_.size());
   for (const CounterEntry& e : counters_) {
-    snap.counters.push_back({e.name, e.counter->count(), e.counter->sum()});
+    MetricsSnapshot::CounterValue v{e.name, 0, 0};
+    for (const Counter* c : e.parts) {
+      v.count += c->count();
+      v.sum += c->sum();
+    }
+    snap.counters.push_back(std::move(v));
   }
   snap.gauges.reserve(gauges_.size());
   for (const GaugeEntry& e : gauges_) {

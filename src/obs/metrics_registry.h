@@ -44,6 +44,9 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   void AddCounter(std::string name, const Counter* counter);
+  // One metric that reports the sum of several counters (e.g. one field of
+  // every per-thread stats block of a node).
+  void AddCounter(std::string name, std::vector<const Counter*> parts);
   void AddGauge(std::string name, std::function<int64_t()> fn);
   void AddHistogram(std::string name, const Histogram* histogram);
 
@@ -65,7 +68,7 @@ class MetricsRegistry {
  private:
   struct CounterEntry {
     std::string name;
-    const Counter* counter;
+    std::vector<const Counter*> parts;  // reported as their sum
   };
   struct GaugeEntry {
     std::string name;

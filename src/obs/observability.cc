@@ -120,6 +120,7 @@ void Observability::ApplyEvent(const TraceEvent& ev) {
       break;
     case Phase::kLocal:
       p.rec.local_ns += ev.t_ns;
+      p.have_local = true;
       break;
     case Phase::kQueue:
       p.rec.queue_ns += ev.t_ns;
@@ -154,7 +155,7 @@ void Observability::FinalizeLocked() {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
     if (p.have_complete && pass_ > p.complete_pass) {
-      if (p.have_issue) {
+      if (p.have_issue && p.have_local) {
         const OpRecord& r = p.rec;
         op_latency_[static_cast<size_t>(r.kind)].Add(r.LatencyNs());
         if (r.local_ns > 0) {
@@ -183,14 +184,18 @@ void Observability::FinalizeLocked() {
         it = pending_.erase(it);
         continue;
       }
-      // Completed but its issue event never arrived (dropped): give the
-      // grace window a little more room, then discard.
-      if (pass_ > p.complete_pass + 2) {
+      // Completed but its issue event never arrived (dropped): kIssue is
+      // recorded before anything can complete the op, so it is at most
+      // one pass behind; give that a little more room, then discard. A
+      // record with kIssue still waits for the worker's kLocal (below,
+      // the stale-record rule covers a dropped one).
+      if (!p.have_issue && pass_ > p.complete_pass + 2) {
         orphaned_ops_.fetch_add(1, std::memory_order_relaxed);
         it = pending_.erase(it);
         continue;
       }
-    } else if (!p.have_complete && pass_ - p.last_pass > stale_passes_) {
+    }
+    if (pass_ - p.last_pass > stale_passes_) {
       orphaned_ops_.fetch_add(1, std::memory_order_relaxed);
       it = pending_.erase(it);
       continue;

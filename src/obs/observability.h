@@ -47,7 +47,11 @@ struct OpRecord {
 // and the bounded trace buffer. Cross-node events of one op may be drained
 // in different passes, so records finalize one full pass after their
 // completion event (by then every earlier-recorded event has been drained:
-// rings are FIFO and each pass drains all of them).
+// rings are FIFO and each pass drains all of them) -- and only once the
+// issuing worker's kIssue and kLocal are in. The worker records kIssue
+// before the op can complete anywhere, but kLocal after its sends, so a
+// worker descheduled past the completion still finalizes its op instead
+// of leaving a phantom record behind: waiting is causal, not a pass count.
 class Observability {
  public:
   // `slots_per_node` mirrors adapt::AccessStats: 0 = server, 1..W =
@@ -131,6 +135,7 @@ class Observability {
   struct Pending {
     OpRecord rec;
     bool have_issue = false;
+    bool have_local = false;  // the issuing worker's last issue-side event
     bool have_complete = false;
     uint64_t complete_pass = 0;
     uint64_t last_pass = 0;

@@ -17,6 +17,7 @@ Coalescer::Coalescer(NodeContext* ctx, net::Endpoint* endpoint,
     : ctx_(ctx),
       endpoint_(endpoint),
       thread_(thread),
+      stats_(&ctx->StatsFor(thread)),
       trace_ring_(trace_ring),
       num_shards_(static_cast<NodeId>(ctx->layout->num_shards())),
       max_ops_(ctx->config->coalesce_max_ops),
@@ -71,7 +72,7 @@ void Coalescer::AddPush(NodeId slot, Key k, const Val* vals, size_t len) {
 }
 
 void Coalescer::EndOp() {
-  if (cur_now_ != 0) ctx_->stats.coalesced_ops.Add(1);
+  if (cur_now_ != 0) stats_->coalesced_ops.AddSingleWriter(1);
   cur_op_ = OpTracker::kImmediate;
   if (!active_slots_.empty()) Scan();
 }
@@ -97,7 +98,7 @@ bool Coalescer::DrainAll() {
   const int64_t now = NowNanos();
   for (const NodeId slot : active_slots_) DrainSlot(slot, now);
   active_slots_.clear();
-  ctx_->stats.coalesce_forced_drains.Add(1);
+  stats_->coalesce_forced_drains.AddSingleWriter(1);
   return true;
 }
 
@@ -150,7 +151,7 @@ void Coalescer::DrainSlot(NodeId slot, int64_t now) {
   if (ctx_->coalesce_batch_size_hist != nullptr) {
     ctx_->coalesce_batch_size_hist->Add(static_cast<int64_t>(n_ops));
   }
-  ctx_->stats.coalesce_batches.Add(static_cast<int64_t>(n_ops));
+  stats_->coalesce_batches.AddSingleWriter(static_cast<int64_t>(n_ops));
   b.ops.clear();
   b.entries.clear();
   b.last_entry.clear();

@@ -144,6 +144,7 @@ class Coalescer {
   NodeContext* ctx_;
   net::Endpoint* endpoint_;
   int32_t thread_;
+  ServerStats* stats_;  // the owning worker's block (ctx_->StatsFor(thread_))
   obs::EventRing* trace_ring_;  // this worker's ring; null when obs off
   NodeId num_shards_;
   uint32_t max_ops_;

@@ -61,7 +61,6 @@ void Config::Validate() const {
           << "Config: value_lengths[" << i << "] must be positive";
     }
   }
-  LAPSE_CHECK_GT(num_latches, 0u) << "Config: num_latches must be positive";
   LAPSE_CHECK_GT(server_threads, 0)
       << "Config: server_threads must be positive (each node needs at least "
          "one server drain thread)";

@@ -127,15 +127,15 @@ struct Config {
   LocationStrategy strategy = LocationStrategy::kHomeNode;
   bool location_caches = false;
   StorageKind storage = StorageKind::kDense;
-  size_t num_latches = 1000;  // paper default (Section 3.7)
 
   // Server drain threads per node. Each thread owns one key-range shard of
   // the node's responsibility (KeyLayout::Shard): its own inbox, storage
-  // partition, and latch partition. Keyed messages are routed to the shard
-  // of their keys; non-keyed control messages go to shard 0. All the per-key
-  // protocol ordering guarantees hold within a shard, and no cross-shard
-  // locks exist. Validate() rejects 0, caps at 64 (shard indices are bytes
-  // in KeyLayout), and warns when it exceeds the host's hardware threads.
+  // partition, and its keys' latches. Keyed messages are routed to the
+  // shard of their keys; non-keyed control messages go to shard 0. All the
+  // per-key protocol ordering guarantees hold within a shard, and no
+  // cross-shard locks exist. Validate() rejects 0, caps at 64 (shard
+  // indices are bytes in KeyLayout), and warns when it exceeds the host's
+  // hardware threads.
   int server_threads = 1;
 
   net::LatencyConfig latency = net::LatencyConfig::Lan();

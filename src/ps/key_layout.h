@@ -21,7 +21,7 @@ namespace ps {
 // num_shards equal sub-ranges. The shard of a key is a global property
 // (the same at every node), so a relocated key is drained by the same
 // shard index wherever it currently lives -- which is what lets each
-// server drain thread own a fixed storage + latch partition.
+// server drain thread own a fixed storage partition and its keys' latches.
 class KeyLayout {
  public:
   // All keys share one value length.

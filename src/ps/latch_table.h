@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "net/message.h"
-#include "ps/key_layout.h"
 #include "util/thread_annotations.h"
 
 namespace lapse {
@@ -69,47 +68,29 @@ class LAPSE_SCOPED_CAPABILITY LatchGuard {
   Latch& latch_;
 };
 
-// Fixed pool of latches with a one-to-many mapping from parameters to
-// latches (Section 3.7). Guards per-key atomic reads/writes for local
-// shared-memory access while allowing parallel access to different
-// parameters. The paper's default pool size is 1000; the pool rounds the
-// requested size up to the next power of two so the per-access latch lookup
-// is a mask instead of a 64-bit division.
-//
-// With a sharded server (layout->num_shards() > 1) the pool is partitioned
-// by shard: keys of different shards never share a latch, so concurrent
-// shard drain threads cannot contend on (or deadlock through) each other's
-// latches. Within a shard the mapping stays the mixed mask.
+// One latch per key. The paper draws each key's latch from a pool of 1000
+// (Section 3.7); a pool makes unrelated keys share latches and, hashed
+// across 64-byte slots, spreads every worker's keys over a table larger
+// than L1d that all of a node's workers write. Here key k owns latch k: a
+// 1-byte Latch, unpadded, so a table costs one byte per key and node, two
+// workers serving disjoint key ranges touch disjoint lines, and keys of
+// different server shards never share a latch (no shard drain thread can
+// contend on, or deadlock through, another shard's latches).
 class LatchTable {
  public:
-  explicit LatchTable(size_t num_latches);
-
-  // Shard-partitioned pool: num_latches total (rounded up per shard),
-  // partitioned across layout->num_shards() shards.
-  LatchTable(size_t num_latches, const KeyLayout* layout);
+  // Latches for keys [0, num_keys) -- pass KeyLayout::num_keys().
+  explicit LatchTable(size_t num_keys);
 
   LatchTable(const LatchTable&) = delete;
   LatchTable& operator=(const LatchTable&) = delete;
 
-  Latch& ForKey(Key k) { return slots_[IndexOf(k)].mu; }
-  Latch& ByIndex(size_t i) { return slots_[i].mu; }
+  Latch& ForKey(Key k) { return latches_[k]; }
 
-  // Index of the latch guarding key k; exposed so callers that lock several
-  // keys can deduplicate/order latch acquisitions to avoid deadlock.
-  size_t IndexOf(Key k) const;
-
-  size_t size() const { return num_latches_; }
+  size_t size() const { return size_; }
 
  private:
-  struct alignas(64) Slot {
-    Latch mu;
-  };
-
-  size_t num_latches_;       // total slots; per-shard count is a power of two
-  size_t per_shard_mask_;    // per-shard slot count - 1
-  size_t per_shard_;         // per-shard slot count
-  const KeyLayout* layout_;  // null for the unpartitioned pool
-  std::unique_ptr<Slot[]> slots_;
+  size_t size_;
+  std::unique_ptr<Latch[]> latches_;
 };
 
 }  // namespace ps

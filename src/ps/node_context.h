@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 #include <variant>
@@ -74,15 +75,19 @@ struct ArrivingKey {
 
 // Per-node performance counters (Table 5, Section 4.6).
 //
-// RULES for adding counters here -- or any counter touched on the hot
-// paths (learned the hard way in PR 3):
-//  * Append new counters at the END of the struct. The hot counters sit on
-//    cache lines the fast paths already own; inserting a field mid-struct
-//    shifts them onto new lines and showed up as a double-digit-percent
-//    local-op regression.
-//  * Never call Counter::Add(0) unconditionally on a fast path: the add
-//    still dirties the counter's cache line. Guard it --
-//    `if (n > 0) stats.c.Add(n)` -- or batch into a local and add once.
+// RULES for counters here -- or any counter touched on the hot paths:
+//  * No two threads write one cache line. Every ServerStats instance is
+//    written by exactly one thread: each worker slot (and the placement
+//    manager's protocol worker) owns a cache-line-aligned StatsBlock in
+//    NodeContext::thread_stats, and each server shard owns its entry of
+//    NodeContext::shard_stats. Writers therefore use
+//    Counter::AddSingleWriter (a relaxed load + store) on the worker
+//    paths; readers sum the blocks (PsSystem::node_stats, the Total* and
+//    Node* helpers, the node{n}.* registry entries).
+//  * Field order does not affect performance (each block is private to its
+//    writer). Still append new counters at the end, since
+//    tools/lint/check_stats_layout.py enforces an append-only layout, and
+//    extend Merge (the static_assert below catches a miss).
 // The same discipline applies to observability hooks: one predictable
 // branch (null/zero check) per operation is the budget, everything else
 // runs only for sampled ops or off the hot path entirely.
@@ -124,23 +129,43 @@ struct ServerStats {
   Counter coalesced_ops;
   Counter coalesce_batches;
   Counter coalesce_forced_drains;
-  void Reset() {
-    local_key_reads.Reset();
-    remote_key_reads.Reset();
-    local_key_writes.Reset();
-    remote_key_writes.Reset();
-    queued_local_ops.Reset();
-    relocations.Reset();
-    localization_conflicts.Reset();
-    evictions_received.Reset();
-    for (auto& b : backlog_ns) b.Reset();
-    replica_key_reads.Reset();
-    replica_key_writes.Reset();
-    replica_unregisters.Reset();
-    coalesced_ops.Reset();
-    coalesce_batches.Reset();
-    coalesce_forced_drains.Reset();
+  // Zeroes every counter. Not atomic against a concurrent writer: call it
+  // while the writing thread is idle.
+  void Reset() { *this = ServerStats(); }
+
+  // Adds another block's counters into this one (a value nobody else
+  // writes, e.g. the sum PsSystem::node_stats returns).
+  void Merge(const ServerStats& o) {
+    local_key_reads.Merge(o.local_key_reads);
+    remote_key_reads.Merge(o.remote_key_reads);
+    local_key_writes.Merge(o.local_key_writes);
+    remote_key_writes.Merge(o.remote_key_writes);
+    queued_local_ops.Merge(o.queued_local_ops);
+    relocations.Merge(o.relocations);
+    localization_conflicts.Merge(o.localization_conflicts);
+    evictions_received.Merge(o.evictions_received);
+    for (size_t t = 0; t < std::size(backlog_ns); ++t) {
+      backlog_ns[t].Merge(o.backlog_ns[t]);
+    }
+    replica_key_reads.Merge(o.replica_key_reads);
+    replica_key_writes.Merge(o.replica_key_writes);
+    replica_unregisters.Merge(o.replica_unregisters);
+    coalesced_ops.Merge(o.coalesced_ops);
+    coalesce_batches.Merge(o.coalesce_batches);
+    coalesce_forced_drains.Merge(o.coalesce_forced_drains);
   }
+};
+
+// Merge names every field: a counter added without extending it fails here.
+static_assert(sizeof(ServerStats) ==
+                  sizeof(Counter) *
+                      (14 + static_cast<size_t>(net::MsgType::kNumTypes)),
+              "ServerStats gained a field: extend ServerStats::Merge");
+
+// One thread's ServerStats on cache lines of its own, so the writer never
+// shares a line with another thread's counters.
+struct alignas(64) StatsBlock {
+  ServerStats stats;
 };
 
 // Everything one logical node's server thread and worker threads share.
@@ -189,18 +214,20 @@ struct NodeContext {
   // the handler's own sends). Paired with Inbox::PutCount for quiescing.
   std::atomic<int64_t> processed_msgs{0};
 
-  // Node-level counters written by this node's *workers* (local/remote
-  // reads+writes, queued ops, replica reads/writes). Server-thread-written
-  // counters live in shard_stats below so concurrent shard drains never
-  // share a counter cache line.
-  ServerStats stats;
+  // Counters written by worker-side code (local/remote/replica reads and
+  // writes, queued ops, coalescer counters), one block per thread slot:
+  // 1..W = workers, W+1 = the placement manager's protocol worker (slot 0,
+  // the server, writes none and stays zero). Each block has exactly one
+  // writer; readers sum over the node's blocks. Sized at system
+  // construction and never resized afterwards.
+  std::vector<StatsBlock> thread_stats;
 
   // One ServerStats per server shard, written only by the owning drain
   // thread (relocations, localization_conflicts, evictions_received,
   // backlog_ns[], replica_unregisters). Sized config->server_threads at
-  // system construction and never resized afterwards. Same append-only
-  // golden layout as `stats`; metric consumers sum across shards.
-  std::vector<ServerStats> shard_stats;
+  // system construction and never resized afterwards; metric consumers
+  // sum across shards.
+  std::vector<StatsBlock> shard_stats;
 
   KeyState StateOf(Key k) const {
     return static_cast<KeyState>(
@@ -211,6 +238,7 @@ struct NodeContext {
   }
 
   OpTracker& TrackerFor(int32_t thread) { return *trackers[thread]; }
+  ServerStats& StatsFor(int32_t thread) { return thread_stats[thread].stats; }
 
   // Appends a deferred item to key k's arrival queue. Caller must hold the
   // key's latch (which is what keeps the kArriving state stable).

@@ -8,7 +8,7 @@ namespace lapse {
 namespace ps {
 
 ReplicaManager::ReplicaManager(const KeyLayout* layout,
-                               int64_t staleness_micros, size_t num_latches,
+                               int64_t staleness_micros,
                                bool aggregate_writes, int64_t flush_micros,
                                uint32_t flush_max_folds)
     : layout_(layout),
@@ -24,7 +24,7 @@ ReplicaManager::ReplicaManager(const KeyLayout* layout,
       write_settled_ns_(layout->num_keys(), 0),
       install_ns_(layout->num_keys()),
       pinned_(layout->num_keys()),
-      latches_(num_latches) {
+      latches_(layout->num_keys()) {
   for (auto& t : install_ns_) t.store(kAbsent, std::memory_order_relaxed);
   for (auto& p : pinned_) p.store(0, std::memory_order_relaxed);
 }

@@ -83,7 +83,7 @@ class ReplicaManager {
   };
 
   ReplicaManager(const KeyLayout* layout, int64_t staleness_micros,
-                 size_t num_latches, bool aggregate_writes = false,
+                 bool aggregate_writes = false,
                  int64_t flush_micros = 0, uint32_t flush_max_folds = 0);
 
   ReplicaManager(const ReplicaManager&) = delete;

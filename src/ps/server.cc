@@ -40,7 +40,7 @@ Server::Server(NodeContext* ctx, net::Network* network, int shard)
     : ctx_(ctx),
       network_(network),
       shard_(shard),
-      stats_(&ctx->shard_stats[shard]),
+      stats_(&ctx->shard_stats[shard].stats),
       // Thread-slot convention: 0 = shard-0 server, 1..W = workers, W+1 =
       // placement manager, W+2.. = the extra server shards, in order.
       endpoint_(network->CreateEndpoint(

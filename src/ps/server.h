@@ -24,8 +24,8 @@ namespace ps {
 // every message about a key -- ops, relocation traffic, invalidations, fold
 // drains -- lands on the owning shard's thread. The per-key ordering
 // guarantees (invalidate-before-transfer, folds-forwarded-before-invalidate)
-// therefore hold per shard with no cross-shard locks; the latch table is
-// shard-partitioned to match.
+// therefore hold per shard with no cross-shard locks; latches are per key,
+// so no two shards share one.
 class Server {
  public:
   Server(NodeContext* ctx, net::Network* network, int shard = 0);
@@ -124,7 +124,7 @@ class Server {
   net::Network* network_;
   // This instance's key-range shard; it drains inbox (node, shard_) only.
   int shard_;
-  // Counters owned by this shard's drain thread: &ctx_->shard_stats[shard_].
+  // Counters owned by this shard's drain thread: ctx_->shard_stats[shard_].
   // Never written by any other thread.
   ServerStats* stats_;
   std::unique_ptr<net::Endpoint> endpoint_;

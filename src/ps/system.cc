@@ -1,6 +1,7 @@
 #include "ps/system.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -8,6 +9,27 @@
 namespace lapse {
 namespace ps {
 namespace {
+
+// The worker-written ServerStats fields, exported as node{n}.<name>.
+constexpr std::pair<const char*, Counter ServerStats::*> kWorkerCounters[] = {
+    {"local_key_reads", &ServerStats::local_key_reads},
+    {"remote_key_reads", &ServerStats::remote_key_reads},
+    {"local_key_writes", &ServerStats::local_key_writes},
+    {"remote_key_writes", &ServerStats::remote_key_writes},
+    {"queued_local_ops", &ServerStats::queued_local_ops},
+    {"replica_key_reads", &ServerStats::replica_key_reads},
+    {"replica_key_writes", &ServerStats::replica_key_writes},
+    {"coalesced_ops", &ServerStats::coalesced_ops},
+    {"coalesce_batches", &ServerStats::coalesce_batches},
+    {"coalesce_forced_drains", &ServerStats::coalesce_forced_drains},
+};
+
+// One snapshot summing a node's counter blocks (its threads' or shards').
+ServerStats SumOf(const std::vector<StatsBlock>& blocks) {
+  ServerStats sum;
+  for (const StatsBlock& b : blocks) sum.Merge(b.stats);
+  return sum;
+}
 
 KeyLayout MakeLayout(const Config& config) {
   if (!config.value_lengths.empty()) {
@@ -35,13 +57,14 @@ PsSystem::PsSystem(Config config)
     ctx->config = &config_;
     ctx->layout = &layout_;
     ctx->store = CreateStorage(config_.storage, &layout_);
-    // Partitioned by shard: each drain thread contends only for the slice
-    // of latch slots covering its own shard's keys.
-    ctx->latches =
-        std::make_unique<LatchTable>(config_.num_latches, &layout_);
-    // Sized once, before any Server is constructed (the Server constructor
-    // takes the address of its shard's slot) and never resized after.
-    ctx->shard_stats = std::vector<ServerStats>(num_shards);
+    // One latch per key, so no two shards (or workers on disjoint keys)
+    // share a latch.
+    ctx->latches = std::make_unique<LatchTable>(layout_.num_keys());
+    // Sized once, before any Server or Worker is constructed (both take the
+    // address of their block) and never resized after.
+    ctx->shard_stats = std::vector<StatsBlock>(num_shards);
+    ctx->thread_stats =
+        std::vector<StatsBlock>(config_.workers_per_node + 2);
     ctx->key_state = std::vector<std::atomic<uint8_t>>(layout_.num_keys());
     for (uint64_t k = 0; k < layout_.num_keys(); ++k) {
       const bool here = (layout_.Home(k) == n);
@@ -66,7 +89,7 @@ PsSystem::PsSystem(Config config)
     }
     if (config_.replication) {
       ctx->replicas = std::make_unique<ReplicaManager>(
-          &layout_, config_.replica_staleness_micros, config_.num_latches,
+          &layout_, config_.replica_staleness_micros,
           config_.replica_write_aggregation, config_.replica_flush_micros,
           config_.replica_flush_max_folds);
     }
@@ -155,26 +178,22 @@ void PsSystem::RegisterMetrics() {
   obs::MetricsRegistry& reg = obs_->registry();
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
     const std::string p = "node" + std::to_string(n) + ".";
-    // Worker-written fields stay node-level (all of the node's workers
-    // share one ServerStats)...
-    ServerStats& s = nodes_[n]->stats;
-    reg.AddCounter(p + "local_key_reads", &s.local_key_reads);
-    reg.AddCounter(p + "remote_key_reads", &s.remote_key_reads);
-    reg.AddCounter(p + "local_key_writes", &s.local_key_writes);
-    reg.AddCounter(p + "remote_key_writes", &s.remote_key_writes);
-    reg.AddCounter(p + "queued_local_ops", &s.queued_local_ops);
-    reg.AddCounter(p + "replica_key_reads", &s.replica_key_reads);
-    reg.AddCounter(p + "replica_key_writes", &s.replica_key_writes);
-    reg.AddCounter(p + "coalesced_ops", &s.coalesced_ops);
-    reg.AddCounter(p + "coalesce_batches", &s.coalesce_batches);
-    reg.AddCounter(p + "coalesce_forced_drains", &s.coalesce_forced_drains);
+    // Worker-written fields are node-level: each metric sums the field
+    // over the node's per-thread blocks...
+    for (const auto& [name, field] : kWorkerCounters) {
+      std::vector<const Counter*> parts;
+      for (const StatsBlock& b : nodes_[n]->thread_stats) {
+        parts.push_back(&(b.stats.*field));
+      }
+      reg.AddCounter(p + name, std::move(parts));
+    }
     // ...while server-written fields are per drain thread, registered under
     // node{n}.shard{s}.* so no shard's work is double-counted or sampled
     // only through shard 0. The per-message-type backlog counters: count =
     // messages, sum = total delivery-to-processing lag (ns).
     for (size_t sh = 0; sh < nodes_[n]->shard_stats.size(); ++sh) {
       const std::string sp = p + "shard" + std::to_string(sh) + ".";
-      ServerStats& ss = nodes_[n]->shard_stats[sh];
+      ServerStats& ss = nodes_[n]->shard_stats[sh].stats;
       reg.AddCounter(sp + "relocations", &ss.relocations);
       reg.AddCounter(sp + "localization_conflicts",
                      &ss.localization_conflicts);
@@ -294,114 +313,93 @@ NodeId PsSystem::OwnerOf(Key k) const {
   return nodes_[layout_.Home(k)]->owners->Owner(k);
 }
 
-int64_t PsSystem::TotalLocalReads() const {
+ServerStats PsSystem::node_stats(NodeId n) const {
+  return SumOf(nodes_[n]->thread_stats);
+}
+
+ServerStats PsSystem::ShardSum(NodeId n) const {
+  return SumOf(nodes_[n]->shard_stats);
+}
+
+int64_t PsSystem::TotalSum(Counter ServerStats::*field) const {
   int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.local_key_reads.sum();
+  for (NodeId n = 0; n < config_.num_nodes; ++n) {
+    total += (node_stats(n).*field).sum();
+  }
   return total;
+}
+
+int64_t PsSystem::TotalLocalReads() const {
+  return TotalSum(&ServerStats::local_key_reads);
 }
 
 int64_t PsSystem::TotalReplicaReads() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.replica_key_reads.sum();
-  return total;
+  return TotalSum(&ServerStats::replica_key_reads);
 }
 
 int64_t PsSystem::TotalReplicaWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.replica_key_writes.sum();
-  return total;
+  return TotalSum(&ServerStats::replica_key_writes);
 }
 
 int64_t PsSystem::TotalRemoteReads() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.remote_key_reads.sum();
-  return total;
+  return TotalSum(&ServerStats::remote_key_reads);
 }
 
 int64_t PsSystem::TotalLocalWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.local_key_writes.sum();
-  return total;
+  return TotalSum(&ServerStats::local_key_writes);
 }
 
 int64_t PsSystem::TotalRemoteWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.remote_key_writes.sum();
-  return total;
+  return TotalSum(&ServerStats::remote_key_writes);
 }
 
 int64_t PsSystem::TotalRelocatedKeys() const {
   int64_t total = 0;
-  for (const auto& n : nodes_) {
-    for (const auto& ss : n->shard_stats) total += ss.relocations.count();
+  for (NodeId n = 0; n < config_.num_nodes; ++n) {
+    total += NodeRelocatedKeys(n);
   }
   return total;
 }
 
 double PsSystem::MeanRelocationNs() const {
   int64_t count = 0, sum = 0;
-  for (const auto& n : nodes_) {
-    for (const auto& ss : n->shard_stats) {
-      count += ss.relocations.count();
-      sum += ss.relocations.sum();
-    }
+  for (NodeId n = 0; n < config_.num_nodes; ++n) {
+    const ServerStats s = ShardSum(n);
+    count += s.relocations.count();
+    sum += s.relocations.sum();
   }
   return count == 0 ? 0.0
                     : static_cast<double>(sum) / static_cast<double>(count);
 }
 
 int64_t PsSystem::NodeRelocatedKeys(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.relocations.count();
-  }
-  return total;
+  return ShardSum(n).relocations.count();
 }
 
 int64_t PsSystem::NodeLocalizationConflicts(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.localization_conflicts.count();
-  }
-  return total;
+  return ShardSum(n).localization_conflicts.count();
 }
 
 int64_t PsSystem::NodeEvictionsReceived(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.evictions_received.count();
-  }
-  return total;
+  return ShardSum(n).evictions_received.count();
 }
 
 int64_t PsSystem::NodeReplicaUnregisters(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.replica_unregisters.count();
-  }
-  return total;
+  return ShardSum(n).replica_unregisters.count();
 }
 
 int64_t PsSystem::NodeBacklogCount(NodeId n, net::MsgType t) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.backlog_ns[static_cast<size_t>(t)].count();
-  }
-  return total;
+  return ShardSum(n).backlog_ns[static_cast<size_t>(t)].count();
 }
 
 int64_t PsSystem::NodeBacklogSumNs(NodeId n, net::MsgType t) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.backlog_ns[static_cast<size_t>(t)].sum();
-  }
-  return total;
+  return ShardSum(n).backlog_ns[static_cast<size_t>(t)].sum();
 }
 
 void PsSystem::ResetStats() {
   for (auto& n : nodes_) {
-    n->stats.Reset();
-    for (auto& ss : n->shard_stats) ss.Reset();
+    for (StatsBlock& b : n->thread_stats) b.stats.Reset();
+    for (StatsBlock& b : n->shard_stats) b.stats.Reset();
   }
   network_.stats().Reset();
 }

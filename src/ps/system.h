@@ -27,7 +27,7 @@ namespace ps {
 // Sharded server: every key maps to one shard of its home range
 // (KeyLayout::Shard, identical at every node), the network routes each
 // keyed message to the (node, shard) inbox of its keys' shard, and one
-// drain thread owns each shard's storage partition, latch partition, and
+// drain thread owns each shard's storage partition, its keys' latches, and
 // replica-directory slice. Control messages without keys go to shard 0.
 // The relocation/replication ordering guarantees are per key, so confining
 // each key to one drain thread preserves them without cross-shard locks.
@@ -73,12 +73,14 @@ class PsSystem {
   const KeyLayout& layout() const { return layout_; }
   net::NetStats& net_stats() { return network_.stats(); }
   // Node-level stats: the worker-written fields (local/remote reads and
-  // writes, queued ops, replica reads/writes). Server-written fields live
-  // in shard_stats(n, s); use the Node* aggregation helpers below.
-  ServerStats& node_stats(NodeId n) { return nodes_[n]->stats; }
+  // writes, queued ops, replica reads/writes, coalescer counters), summed
+  // over the node's per-thread blocks into a snapshot. Server-written
+  // fields live in shard_stats(n, s); use the Node* aggregation helpers
+  // below.
+  ServerStats node_stats(NodeId n) const;
   // Per-shard stats written by shard s's drain thread of node n.
   ServerStats& shard_stats(NodeId n, int s) {
-    return nodes_[n]->shard_stats[s];
+    return nodes_[n]->shard_stats[s].stats;
   }
   NodeContext& node_context(NodeId n) { return *nodes_[n]; }
 
@@ -133,9 +135,15 @@ class PsSystem {
   int64_t TotalRelocatedKeys() const;
   double MeanRelocationNs() const;
 
+  // Zeroes every counter block; call it while no workers run.
   void ResetStats();
 
  private:
+  // Server-written fields of node n, summed over its shards.
+  ServerStats ShardSum(NodeId n) const;
+  // Sums one worker-written field over every node.
+  int64_t TotalSum(Counter ServerStats::*field) const;
+
   // Names every live counter/gauge/histogram in obs_'s registry (called
   // once at construction, after managers exist).
   void RegisterMetrics();

@@ -22,6 +22,7 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
       global_id_(global_id),
       endpoint_(network->CreateEndpoint(ctx->node, thread_slot)),
       tracker_(ctx->trackers[thread_slot].get()),
+      stats_(&ctx->StatsFor(thread_slot)),
       rng_(seed) {
   const Architecture arch = ctx_->config->arch;
   fast_local_ = (arch != Architecture::kClassic);
@@ -81,20 +82,25 @@ void Worker::CheckDistinct(const std::vector<Key>& keys) const {
 }
 #endif
 
-void Worker::RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
-                         int64_t replica_misses, bool completed) {
+uint64_t Worker::TraceIssue(obs::OpKind kind, uint64_t op, int64_t t_issue) {
   const uint64_t raw =
       op == kImmediate ? (obs::kInlineOpBit | ++trace_inline_seq_) : op;
   const uint64_t uid = obs::PackUid(ctx_->node, thread_, raw);
-  const int64_t now = NowNanos();
   trace_ring_->TryPush(
       obs::TraceEvent::Issue(uid, kind, t_issue, ctx_->node));
-  trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kLocal,
-                                            now - t_issue, ctx_->node));
+  return uid;
+}
+
+void Worker::TraceRest(uint64_t uid, int64_t t_issue, int64_t replica_misses,
+                       bool completed) {
   for (int64_t i = 0; i < replica_misses; ++i) {
     trace_ring_->TryPush(
         obs::TraceEvent::Mark(uid, obs::Phase::kReplicaMiss, ctx_->node));
   }
+  // kLocal last: the collector finalizes a record only after it.
+  const int64_t now = NowNanos();
+  trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kLocal,
+                                            now - t_issue, ctx_->node));
   if (completed) {
     trace_ring_->TryPush(obs::TraceEvent::Complete(uid, now, ctx_->node));
   }
@@ -176,10 +182,10 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
       done_off += len;
     }
     if (done == keys.size()) {
-      ctx_->stats.local_key_reads.Add(static_cast<int64_t>(keys.size()) -
-                                      replica_reads);
+      stats_->local_key_reads.AddSingleWriter(
+          static_cast<int64_t>(keys.size()) - replica_reads);
       if (replica_reads > 0) {
-        ctx_->stats.replica_key_reads.Add(replica_reads);
+        stats_->replica_key_reads.AddSingleWriter(replica_reads);
       }
       if (traced) {
         RecordTrace(obs::OpKind::kPull, kImmediate, t_issue, trace_misses,
@@ -201,6 +207,8 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
   const uint64_t op = tracker_->Create(dst, sc.key_offsets, NowNanos());
+  const uint64_t trace_uid =
+      traced ? TraceIssue(obs::OpKind::kPull, op, t_issue) : 0;
   if (coalescer_) coalescer_->BeginOp(op, traced);
 
   size_t inline_done = 0;
@@ -262,10 +270,12 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
 
-  ctx_->stats.local_key_reads.Add(local_reads);
-  if (replica_reads > 0) ctx_->stats.replica_key_reads.Add(replica_reads);
-  ctx_->stats.remote_key_reads.Add(remote_reads);
-  ctx_->stats.queued_local_ops.Add(queued);
+  stats_->local_key_reads.AddSingleWriter(local_reads);
+  if (replica_reads > 0) {
+    stats_->replica_key_reads.AddSingleWriter(replica_reads);
+  }
+  stats_->remote_key_reads.AddSingleWriter(remote_reads);
+  stats_->queued_local_ops.AddSingleWriter(queued);
 
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
@@ -282,11 +292,10 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     BroadcastOp(MsgType::kPull, op, traced);
   }
   if (coalescer_) coalescer_->EndOp();
+  if (after_send_hook_) after_send_hook_(op);
 
   const bool done_now = tracker_->CompleteKeys(op, inline_done);
-  if (traced) {
-    RecordTrace(obs::OpKind::kPull, op, t_issue, trace_misses, done_now);
-  }
+  if (traced) TraceRest(trace_uid, t_issue, trace_misses, done_now);
   return op;
 }
 
@@ -337,10 +346,10 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
       done_off += len;
     }
     if (done == keys.size()) {
-      ctx_->stats.local_key_writes.Add(static_cast<int64_t>(keys.size()) -
-                                       replica_folds);
+      stats_->local_key_writes.AddSingleWriter(
+          static_cast<int64_t>(keys.size()) - replica_folds);
       if (replica_folds > 0) {
-        ctx_->stats.replica_key_writes.Add(replica_folds);
+        stats_->replica_key_writes.AddSingleWriter(replica_folds);
       }
       if (traced) {
         RecordTrace(obs::OpKind::kPush, kImmediate, t_issue,
@@ -362,6 +371,8 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  const uint64_t trace_uid =
+      traced ? TraceIssue(obs::OpKind::kPush, op, t_issue) : 0;
   if (coalescer_) coalescer_->BeginOp(op, traced);
 
   size_t inline_done = 0;
@@ -436,10 +447,12 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
 
-  ctx_->stats.local_key_writes.Add(local_writes);
-  ctx_->stats.remote_key_writes.Add(remote_writes);
-  if (replica_folds > 0) ctx_->stats.replica_key_writes.Add(replica_folds);
-  ctx_->stats.queued_local_ops.Add(queued);
+  stats_->local_key_writes.AddSingleWriter(local_writes);
+  stats_->remote_key_writes.AddSingleWriter(remote_writes);
+  if (replica_folds > 0) {
+    stats_->replica_key_writes.AddSingleWriter(replica_folds);
+  }
+  stats_->queued_local_ops.AddSingleWriter(queued);
 
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
@@ -457,11 +470,11 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     BroadcastOp(MsgType::kPush, op, traced);
   }
   if (coalescer_) coalescer_->EndOp();
+  if (after_send_hook_) after_send_hook_(op);
 
   const bool done_now = tracker_->CompleteKeys(op, inline_done);
   if (traced) {
-    RecordTrace(obs::OpKind::kPush, op, t_issue, /*replica_misses=*/0,
-                done_now);
+    TraceRest(trace_uid, t_issue, /*replica_misses=*/0, done_now);
   }
   // After the op's own sends: FlushReplicas reuses the grouping scratch.
   if (flush_due) FlushReplicas();
@@ -502,6 +515,8 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   sc.key_offsets.clear();
   for (const Key k : sc.localize_keys) sc.key_offsets.emplace_back(k, 0);
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  const uint64_t trace_uid =
+      traced ? TraceIssue(obs::OpKind::kLocalize, op, t_issue) : 0;
 
   size_t inline_done = 0;
   sc.groups.Begin();
@@ -566,11 +581,11 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
     m.keys = sc.groups.TakeKeys(slot);
     endpoint_->Send(std::move(m));
   }
+  if (after_send_hook_) after_send_hook_(op);
 
   const bool done_now = tracker_->CompleteKeys(op, inline_done);
   if (traced) {
-    RecordTrace(obs::OpKind::kLocalize, op, t_issue, /*replica_misses=*/0,
-                done_now);
+    TraceRest(trace_uid, t_issue, /*replica_misses=*/0, done_now);
   }
   return op;
 }
@@ -665,6 +680,8 @@ uint64_t Worker::SendGroupedPushes() {
   // localized here since its last fold routes through its home and comes
   // straight back -- the relocation protocol already handles that.
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  const uint64_t trace_uid =
+      traced ? TraceIssue(obs::OpKind::kFlush, op, t_issue) : 0;
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
     m.type = MsgType::kPush;
@@ -678,8 +695,7 @@ uint64_t Worker::SendGroupedPushes() {
     endpoint_->Send(std::move(m));
   }
   if (traced) {
-    RecordTrace(obs::OpKind::kFlush, op, t_issue, /*replica_misses=*/0,
-                /*completed=*/false);
+    TraceRest(trace_uid, t_issue, /*replica_misses=*/0, /*completed=*/false);
   }
   return op;
 }
@@ -835,7 +851,7 @@ bool Worker::PullIfLocal(Key k, Val* dst) {
     LatchGuard latch(ctx_->latches->ForKey(k));
     if (ctx_->StateOf(k) == KeyState::kOwned) {
       std::memcpy(dst, Slot(k), ctx_->layout->Length(k) * sizeof(Val));
-      ctx_->stats.local_key_reads.Add(1);
+      stats_->local_key_reads.AddSingleWriter(1);
       return true;
     }
   }
@@ -845,7 +861,7 @@ bool Worker::PullIfLocal(Key k, Val* dst) {
   // non-blocking: TryRead only takes the replica's own latch, the same
   // bounded spin as the owned path above.
   if (replicas_ != nullptr && replicas_->TryRead(k, dst)) {
-    ctx_->stats.replica_key_reads.Add(1);
+    stats_->replica_key_reads.AddSingleWriter(1);
     return true;
   }
   return false;

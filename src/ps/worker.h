@@ -1,6 +1,7 @@
 #ifndef LAPSE_PS_WORKER_H_
 #define LAPSE_PS_WORKER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -157,6 +158,15 @@ class Worker {
   const Config& config() const { return *ctx_->config; }
   Rng& rng() { return rng_; }
 
+  // Test seam: on the slow paths of PullAsync, PushAsync and LocalizeAsync,
+  // `hook(op)` runs right after the op's messages are sent, before the
+  // worker records the rest of the op's trace. Lets a test stall a worker
+  // at exactly that point. Empty (the default) costs one branch per
+  // slow-path op.
+  void SetAfterSendHookForTesting(std::function<void(uint64_t)> hook) {
+    after_send_hook_ = std::move(hook);
+  }
+
  private:
   // Destination node for a remote op on key k (worker-side routing:
   // location cache if enabled and filled, else home / owner view).
@@ -225,12 +235,23 @@ class Worker {
     return true;
   }
 
-  // Emits the worker-side events of one traced operation (kIssue, kLocal,
-  // replica-miss marks, and kComplete when the op finished inline). Out of
-  // line: runs once per obs.sample_every operations. `op` == kImmediate
-  // gets a synthetic per-thread uid (the tracker never saw the op).
+  // Worker-side events of one traced operation, out of line (they run once
+  // per obs.sample_every operations). TraceIssue emits kIssue and returns
+  // the op's trace uid; `op` == kImmediate gets a synthetic per-thread uid
+  // (the tracker never saw the op). Slow paths call it right after
+  // creating the op, before anything can complete it. TraceRest emits the
+  // replica-miss marks, then kLocal -- the collector finalizes a record
+  // only once kLocal is in, so TraceRest may run after the op completed
+  // elsewhere -- and kComplete when the op finished inline. RecordTrace is
+  // both, for ops that completed inline.
+  uint64_t TraceIssue(obs::OpKind kind, uint64_t op, int64_t t_issue);
+  void TraceRest(uint64_t uid, int64_t t_issue, int64_t replica_misses,
+                 bool completed);
   void RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
-                   int64_t replica_misses, bool completed);
+                   int64_t replica_misses, bool completed) {
+    TraceRest(TraceIssue(kind, op, t_issue), t_issue, replica_misses,
+              completed);
+  }
 
   // Reusable per-op buffers: cleared every operation, never shrunk, so the
   // hot path performs no heap allocation in steady state. A Worker is owned
@@ -249,6 +270,9 @@ class Worker {
   int global_id_;
   std::unique_ptr<net::Endpoint> endpoint_;
   OpTracker* tracker_;
+  // This thread's counter block (ctx_->StatsFor(thread_)); no other thread
+  // writes it.
+  ServerStats* stats_;
   Rng rng_;
   bool fast_local_;
   bool dpa_enabled_;
@@ -271,6 +295,7 @@ class Worker {
   // Bounded-delay request coalescer (null unless Config::coalescing, which
   // keeps the disabled cost at one branch per op).
   std::unique_ptr<Coalescer> coalescer_;
+  std::function<void(uint64_t)> after_send_hook_;  // test seam, see setter
 
   // Slot of key k for fast-path access; devirtualized for dense stores.
   Val* Slot(Key k) {

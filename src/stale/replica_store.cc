@@ -5,11 +5,11 @@
 namespace lapse {
 namespace stale {
 
-ReplicaStore::ReplicaStore(const ps::KeyLayout* layout, size_t num_latches)
+ReplicaStore::ReplicaStore(const ps::KeyLayout* layout)
     : layout_(layout),
       values_(layout->TotalVals(), 0.0f),
       tags_(layout->num_keys()),
-      latches_(num_latches) {
+      latches_(layout->num_keys()) {
   for (auto& t : tags_) t.store(kAbsent, std::memory_order_relaxed);
 }
 

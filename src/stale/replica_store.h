@@ -17,14 +17,14 @@ namespace stale {
 // cached key carries the clock at which its copy was taken; a reader at
 // clock c with staleness bound s may use the copy iff tag >= c - s.
 //
-// Value content is guarded by a latch table; tags are atomics so the
+// Value content is guarded by one latch per key; tags are atomics so the
 // staleness check can run without a latch (a racy pass is re-validated
 // under the latch by the caller if it matters).
 class ReplicaStore {
  public:
   static constexpr int32_t kAbsent = -1;
 
-  ReplicaStore(const ps::KeyLayout* layout, size_t num_latches);
+  explicit ReplicaStore(const ps::KeyLayout* layout);
 
   // Clock tag of key k's replica (kAbsent if never fetched).
   int32_t Tag(Key k) const {

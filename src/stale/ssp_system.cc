@@ -30,7 +30,7 @@ SspNode::SspNode(const SspConfig* cfg, const ps::KeyLayout* lay, NodeId n)
       layout(lay),
       owned(lay->TotalVals(), 0.0f),
       subscribers(lay->num_keys(), 0),
-      replicas(lay, cfg->num_latches),
+      replicas(lay),
       acc(lay->TotalVals(), 0.0f),
       acc_dirty(lay->num_keys(), 0),
       worker_clocks(cfg->workers_per_node, 0),
@@ -54,8 +54,6 @@ void SspConfig::Validate() const {
   LAPSE_CHECK_GE(staleness, 0)
       << "SspConfig: staleness bound must be >= 0 (got " << staleness
       << "); 0 means bulk-synchronous";
-  LAPSE_CHECK_GT(num_latches, 0u)
-      << "SspConfig: num_latches must be positive";
 }
 
 SspSystem::SspSystem(SspConfig config)

@@ -36,7 +36,6 @@ struct SspConfig {
   size_t value_length = 1;
   int staleness = 1;
   SyncMode sync_mode = SyncMode::kClientSync;
-  size_t num_latches = 1000;
   net::LatencyConfig latency = net::LatencyConfig::Lan();
   uint64_t seed = 1;
 

@@ -8,14 +8,42 @@
 
 namespace lapse {
 
-// Lock-free accumulating counter (count + sum), safe for concurrent Add().
-// Snapshot reads are not atomic across the two fields, which is fine for
-// monitoring use.
+// Lock-free accumulating counter (count + sum). Add() is safe for
+// concurrent writers; AddSingleWriter() is the cheaper form for a counter
+// that exactly one thread ever writes (a per-thread stats block): a relaxed
+// load + store per field instead of two atomic read-modify-writes. Reads
+// are safe from any thread; a snapshot is not atomic across the two
+// fields, which is fine for monitoring use. Copies are relaxed snapshots,
+// so stats structs built from Counters can be summed into a value.
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter& other) : count_(other.count()), sum_(other.sum()) {}
+  Counter& operator=(const Counter& other) {
+    count_.store(other.count(), std::memory_order_relaxed);
+    sum_.store(other.sum(), std::memory_order_relaxed);
+    return *this;
+  }
+
   void Add(int64_t value = 1) {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
+  }
+
+  // Only for a counter with one writing thread: concurrent writers would
+  // lose updates.
+  void AddSingleWriter(int64_t value = 1) {
+    count_.store(count_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    sum_.store(sum_.load(std::memory_order_relaxed) + value,
+               std::memory_order_relaxed);
+  }
+
+  // Adds another counter's totals (count and sum) into this one, which
+  // must not be written concurrently (used to sum per-thread blocks).
+  void Merge(const Counter& other) {
+    count_.store(count() + other.count(), std::memory_order_relaxed);
+    sum_.store(sum() + other.sum(), std::memory_order_relaxed);
   }
 
   void Reset() {

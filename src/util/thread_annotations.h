@@ -17,8 +17,9 @@
 //    std::condition_variable. libstdc++'s types carry no capability
 //    attributes, so locking through them is invisible to the analysis.
 //  * ps::Latch is a capability; ps::LatchGuard is its scoped guard.
-//  * Per-key state guarded by a latch *pool* (LatchTable) cannot name a
-//    single capability in LAPSE_GUARDED_BY. Those fields are marked with
+//  * Per-key state guarded by its key's latch (LatchTable holds one latch
+//    per key, picked at run time by the key) cannot name a single
+//    capability in LAPSE_GUARDED_BY. Those fields are marked with
 //    the no-op LAPSE_GUARDED_BY_KEY_LATCH, and the real checking moves to
 //    the functions: internal helpers take the key's `Latch&` as a
 //    parameter and declare LAPSE_REQUIRES(latch), which Clang verifies at
@@ -49,9 +50,9 @@
 // Pointer field whose *pointee* is guarded by the given capability.
 #define LAPSE_PT_GUARDED_BY(x) LAPSE_THREAD_ANNOTATION__(pt_guarded_by(x))
 
-// Documented no-op: the field is guarded by its key's latch out of a
-// LatchTable pool -- a data-dependent capability the static analysis
-// cannot name. The invariant is enforced instead by LAPSE_REQUIRES(latch)
+// Documented no-op: the field is guarded by its key's latch in a
+// LatchTable -- a data-dependent capability (latch k for key k) the static
+// analysis cannot name. The invariant is enforced instead by LAPSE_REQUIRES(latch)
 // on every function that touches the field (see header comment).
 #define LAPSE_GUARDED_BY_KEY_LATCH
 

@@ -529,8 +529,8 @@ TEST(AdaptiveEngineTest, ContendedReadMostlyKeyIsFlaggedAndHookRuns) {
   // use to serve contended read-mostly keys from replicas.
   std::vector<std::unique_ptr<stale::ReplicaStore>> replicas;
   for (int n = 0; n < cfg.num_nodes; ++n) {
-    replicas.push_back(std::make_unique<stale::ReplicaStore>(
-        &system.layout(), /*num_latches=*/64));
+    replicas.push_back(
+        std::make_unique<stale::ReplicaStore>(&system.layout()));
   }
   const std::vector<Val> zeros(4, 0.0f);
   std::atomic<int> hook_calls{0};

@@ -71,12 +71,6 @@ TEST(ConfigValidationTest, OversubscribedServerThreadsWarnsButPasses) {
   EXPECT_EQ(cfg.server_threads, 64);
 }
 
-TEST(ConfigValidationDeathTest, ZeroLatchesDies) {
-  ps::Config cfg = ValidConfig();
-  cfg.num_latches = 0;
-  EXPECT_DEATH(cfg.Normalize(), "num_latches");
-}
-
 TEST(ConfigValidationTest, ValueLengthsOverrideNumKeys) {
   ps::Config cfg = ValidConfig();
   cfg.num_keys = 999;  // stale; value_lengths wins

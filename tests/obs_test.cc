@@ -367,5 +367,48 @@ TEST(ObservabilityEndToEndTest, CollectorKeepsUpUnderConcurrentLoad) {
   }
 }
 
+TEST(ObservabilityEndToEndTest, WorkerStalledBetweenSendAndTraceFinalizes) {
+  // A worker descheduled right after sending an op's messages: the server
+  // completes the op and the collector runs many passes before the worker
+  // records anything more. Each op must still finalize once the worker
+  // resumes instead of counting as an orphan -- for pull, push and
+  // localize alike.
+  ps::PsSystem system(ObsConfigFor(2));
+  obs::Observability* obs = system.observability();
+  ps::NodeContext& origin = system.node_context(0);
+  const Key first_remote = system.layout().HomeBegin(1);  // homed at node 1
+  system.Run([&](ps::Worker& w) {
+    if (w.node() != 0) return;
+    int64_t handled_before = 0;
+    w.SetAfterSendHookForTesting([&](uint64_t) {
+      // Stall until node 0's server has handled the op's reply (and with
+      // it recorded the op's completion), then let the collector run well
+      // past its grace window.
+      while (origin.processed_msgs.load(std::memory_order_acquire) <=
+             handled_before) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < 4; ++i) obs->Flush();
+    });
+    std::vector<Val> buf(4);
+    const std::vector<Val> upd(4, 1.0f);
+    handled_before = origin.processed_msgs.load(std::memory_order_acquire);
+    w.Pull({first_remote}, buf.data());
+    handled_before = origin.processed_msgs.load(std::memory_order_acquire);
+    w.Push({first_remote + 1}, upd.data());
+    handled_before = origin.processed_msgs.load(std::memory_order_acquire);
+    w.Localize({first_remote + 2});
+  });
+  obs->Flush();
+  ASSERT_EQ(obs->dropped_events(), 0);
+  EXPECT_EQ(obs->orphaned_ops(), 0);
+  EXPECT_EQ(obs->finalized_ops(), 3);
+  // Each record finalized with the worker's own (post-stall) local phase,
+  // not before it: a late kLocal would start a phantom record instead.
+  for (const obs::OpRecord& r : obs->FinalizedRecords()) {
+    EXPECT_GT(r.local_ns, 0);
+  }
+}
+
 }  // namespace
 }  // namespace lapse

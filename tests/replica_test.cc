@@ -28,8 +28,7 @@ ps::KeyLayout TestLayout() {
 
 TEST(ReplicaManagerTest, PinInstallReadInvalidateCycle) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
-                        /*num_latches=*/8);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
   const Key k = 3;
   std::vector<Val> buf(4, -1.0f);
 
@@ -71,7 +70,7 @@ TEST(ReplicaManagerTest, PinInstallReadInvalidateCycle) {
 
 TEST(ReplicaManagerTest, CopyOlderThanStalenessBoundIsNotServed) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/1, /*num_latches=*/8);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/1);
   const Key k = 5;
   rm.Pin(k);
   const std::vector<Val> v(4, 7.0f);
@@ -84,8 +83,7 @@ TEST(ReplicaManagerTest, CopyOlderThanStalenessBoundIsNotServed) {
 
 TEST(ReplicaManagerTest, AccumulateFoldsIntoPresentCopyOnly) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
-                        /*num_latches=*/8);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
   const Key k = 2;
   const std::vector<Val> upd(4, 0.5f);
   rm.Pin(k);
@@ -109,8 +107,7 @@ TEST(ReplicaManagerTest, AccumulateFoldsIntoPresentCopyOnly) {
 // overwrites the locally folded value.
 TEST(ReplicaManagerTest, WriteThroughReadYourWritesDropsStaleInstalls) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
-                        /*num_latches=*/8);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
   const Key k = 3;
   const std::vector<Val> pre(4, 1.0f), upd(4, 0.5f);
   std::vector<Val> buf(4);

@@ -191,7 +191,7 @@ TEST(SspFreshnessTest, StaleReplicaRefetches) {
 
 TEST(ReplicaStoreTest, FreshnessRule) {
   ps::KeyLayout layout(4, 2, 1);
-  ReplicaStore store(&layout, 16);
+  ReplicaStore store(&layout);
   EXPECT_FALSE(store.Fresh(0, 0, 1));  // absent
   const Val v[2] = {1, 2};
   store.Install(0, v, 3);
@@ -202,7 +202,7 @@ TEST(ReplicaStoreTest, FreshnessRule) {
 
 TEST(ReplicaStoreTest, AccumulateRequiresPresence) {
   ps::KeyLayout layout(4, 2, 1);
-  ReplicaStore store(&layout, 16);
+  ReplicaStore store(&layout);
   const Val u[2] = {5, 5};
   store.Accumulate(1, u);  // no copy present: ignored
   EXPECT_EQ(store.Tag(1), ReplicaStore::kAbsent);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -199,28 +201,33 @@ TEST(LatchTableTest, SameKeySameLatch) {
   EXPECT_EQ(&latches.ForKey(42), &latches.ForKey(42));
 }
 
-TEST(LatchTableTest, IndexWithinBounds) {
-  // The pool rounds the requested size up to a power of two.
-  LatchTable latches(7);
-  EXPECT_EQ(latches.size(), 8u);
-  for (Key k = 0; k < 1000; ++k) {
-    EXPECT_LT(latches.IndexOf(k), latches.size());
+TEST(LatchTableTest, DistinctKeysDistinctLatches) {
+  // One latch per key: no two keys share a latch, whatever their shard.
+  const KeyLayout layout(/*num_keys=*/1000, /*uniform_len=*/4,
+                         /*num_nodes=*/2, /*num_shards=*/4);
+  LatchTable latches(layout.num_keys());
+  std::set<const Latch*> seen;
+  for (Key k = 0; k < layout.num_keys(); ++k) {
+    EXPECT_TRUE(seen.insert(&latches.ForKey(k)).second) << "key " << k;
   }
 }
 
-TEST(LatchTableTest, SpreadsKeys) {
-  LatchTable latches(64);
-  std::vector<int> counts(64, 0);
-  for (Key k = 0; k < 6400; ++k) ++counts[latches.IndexOf(k)];
-  int empty = 0;
-  for (int c : counts) {
-    if (c == 0) ++empty;
+TEST(LatchTableTest, CoversEveryKeyOfTheLayout) {
+  const KeyLayout layout(std::vector<size_t>{3, 1, 4, 1, 5, 9, 2},
+                         /*num_nodes=*/3);
+  LatchTable latches(layout.num_keys());
+  ASSERT_EQ(latches.size(), layout.num_keys());
+  // Key k owns slot k of one contiguous, unpadded table: every key of the
+  // layout has a latch inside it, one byte apart.
+  for (Key k = 0; k < layout.num_keys(); ++k) {
+    EXPECT_EQ(&latches.ForKey(k) - &latches.ForKey(0),
+              static_cast<ptrdiff_t>(k));
   }
-  EXPECT_EQ(empty, 0);
+  EXPECT_EQ(sizeof(Latch), 1u);
 }
 
 TEST(LatchTableTest, MutualExclusion) {
-  LatchTable latches(4);
+  LatchTable latches(16);  // key 9 must be inside the table
   int counter = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
