@@ -12,6 +12,9 @@
 //                      zero simulated latency: isolates software overhead)
 //   localize_rt     -- Localize round-trip for remote keys (3-message
 //                      relocation protocol, zero simulated latency)
+//   remote_window   -- windows/s of kWindowOps async single-key remote
+//                      pulls followed by one WaitAll (the serving shape:
+//                      a window in flight, then one wait for all of it)
 //
 // Writes BENCH_hotpath.json (ops/sec per metric, plus the pre-optimization
 // baseline measured in the PR that introduced this bench) so the perf
@@ -58,6 +61,11 @@ constexpr double kBaselineLocalizeRt = 52033.0;
 // 4-vCPU host.
 constexpr double kBaselineLocalPull2w = 6495123.0;
 constexpr double kBaselineLocalPush2w = 3080312.0;
+// remote_window's baseline: the row on the mutex-and-map op tracker whose
+// WaitAll went straight to a condition variable (median of 5 runs on one
+// 4-vCPU host, interleaved with the slot-table tracker).
+constexpr double kBaselineRemoteWindow = 32108.0;
+constexpr size_t kWindowOps = 8;
 
 ps::Config LocalConfig(int workers) {
   ps::Config cfg;
@@ -155,6 +163,31 @@ double MeasureRemotePull(int64_t ops) {
   return static_cast<double>(ops) / secs;
 }
 
+double MeasureRemoteWindow(int64_t windows) {
+  constexpr uint64_t kKeys = 4096;
+  ps::PsSystem system(RemoteConfig(kKeys));
+  double secs = 0;
+  system.Run([&](ps::Worker& w) {
+    if (w.node() != 0) return;
+    // Single keys from the upper half, homed (and staying) at node 1.
+    std::vector<std::vector<Key>> keys(kWindowOps, std::vector<Key>(1));
+    std::vector<Val> buf(kWindowOps * kLen);
+    auto window = [&](int64_t i) {
+      for (size_t j = 0; j < kWindowOps; ++j) {
+        keys[j][0] = kKeys / 2 + (static_cast<uint64_t>(i) * kWindowOps + j) %
+                                     (kKeys / 2);
+        w.PullAsync(keys[j], buf.data() + j * kLen);
+      }
+      w.WaitAll();
+    };
+    for (int64_t i = 0; i < 500; ++i) window(i);
+    Timer t;
+    for (int64_t i = 0; i < windows; ++i) window(i);
+    secs = t.ElapsedSeconds();
+  });
+  return static_cast<double>(windows) / secs;
+}
+
 double MeasureLocalizeRoundTrip(int64_t ops) {
   // Every op localizes a fresh batch of keys currently owned by node 1, so
   // the key space must cover ops * kKeysPerOp upper-half keys.
@@ -225,6 +258,9 @@ int main() {
   std::printf("remote_pull   %12.0f ops/s\n", remote_pull);
   const double localize_rt = MeasureLocalizeRoundTrip(10'000);
   std::printf("localize_rt   %12.0f ops/s\n", localize_rt);
+  const RepResult window_reps = Repeat(MeasureRemoteWindow, 10'000);
+  std::printf("remote_window %12.0f windows/s (median of %d, spread %.2fx)\n",
+              window_reps.median, kLocalReps, window_reps.spread);
 
   const std::vector<bench::JsonMetric> metrics = {
       {"local_pull", local_pull, kBaselineLocalPull},
@@ -239,6 +275,8 @@ int main() {
       {"local_push_2w", push2_reps.median, kBaselineLocalPush2w},
       {"local_pull_2w_spread", pull2_reps.spread, 0.0},
       {"local_push_2w_spread", push2_reps.spread, 0.0},
+      {"remote_window", window_reps.median, kBaselineRemoteWindow},
+      {"remote_window_spread", window_reps.spread, 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_hotpath.json", "micro_hotpath",
                              metrics)) {

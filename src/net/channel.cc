@@ -39,10 +39,14 @@ bool Inbox::WaitDeliverable() {
                     std::chrono::nanoseconds(deliver - now - kSpinWindowNs));
         continue;
       }
-      // Spin without the lock so senders can still enqueue (possibly with
-      // an earlier delivery time; the re-check handles that).
+      // Spin without the lock so senders can still enqueue. A Put may
+      // bring an earlier delivery time, so any Put ends the spin and the
+      // re-check picks the new head; spinning on to `deliver` would hold
+      // a 2 us loop-back message behind a 30 us remote one.
+      const int64_t puts = put_count_.load(std::memory_order_relaxed);
       mu_.unlock();
-      while (NowNanos() < deliver) {
+      while (NowNanos() < deliver &&
+             put_count_.load(std::memory_order_acquire) == puts) {
 #if defined(__x86_64__) || defined(__i386__)
         __builtin_ia32_pause();
 #endif

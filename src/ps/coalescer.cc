@@ -32,29 +32,40 @@ size_t Coalescer::RegisterOp(NodeId slot, SlotBatch& b) {
     // A queued sub-op cannot complete before its batch is sent, so a held
     // op's tracker id cannot be recycled: ids in one batch are distinct
     // and the back-of-list check is enough.
-    if (cur_now_ == 0) cur_now_ = NowNanos();
     if (b.ops.empty()) active_slots_.push_back(slot);
     b.ops.push_back({cur_op_, cur_now_, cur_traced_});
-    ++queued_ops_[cur_op_];
+    cur_queued_ = true;
   }
   return b.ops.size() - 1;
+}
+
+bool Coalescer::IsQueued(uint64_t op) const {
+  for (const NodeId slot : active_slots_) {
+    for (const SubOp& s : slots_[slot].ops) {
+      if (s.op_id == op) return true;
+    }
+  }
+  return false;
 }
 
 void Coalescer::AddPull(NodeId slot, Key k) {
   SlotBatch& b = slots_[slot];
   const uint64_t bit = uint64_t{1} << RegisterOp(slot, b);
-  auto [it, fresh] = b.last_entry.try_emplace(k, b.entries.size());
-  if (!fresh) {
-    Entry& e = b.entries[it->second];
+  // The key's latest entry: a pull merges onto it only when it is itself
+  // a pull; after a push it appends, which keeps per-key entry order =
+  // issue order (read-your-writes through the batch).
+  const size_t stop =
+      b.entries.size() > kDedupWindow ? b.entries.size() - kDedupWindow : 0;
+  for (size_t i = b.entries.size(); i-- > stop;) {
+    Entry& e = b.entries[i];
+    if (e.key != k) continue;
     if (!e.is_push) {
       // Same-key concurrent pulls: one entry, one response, fanned out to
       // every referencing sub-op's buffer at the origin.
       e.mask |= bit;
       return;
     }
-    // A push to k is already queued ahead: append after it so this pull
-    // observes the write (read-your-writes through the batch).
-    it->second = b.entries.size();
+    break;
   }
   b.entries.push_back({k, bit, /*is_push=*/false});
 }
@@ -64,21 +75,19 @@ void Coalescer::AddPush(NodeId slot, Key k, const Val* vals, size_t len) {
   const uint64_t bit = uint64_t{1} << RegisterOp(slot, b);
   // Pushes never merge: a mid-relocation server forwards sub-ops
   // individually, and a folded payload forwarded per sub-op would apply
-  // more than once. They do repoint the dedup index so later pulls of k
-  // order after this write.
-  b.last_entry[k] = b.entries.size();
+  // more than once. As the key's latest entry, a push makes later pulls
+  // of k append after it.
   b.entries.push_back({k, bit, /*is_push=*/true});
   b.vals.insert(b.vals.end(), vals, vals + len);
 }
 
 void Coalescer::EndOp() {
-  if (cur_now_ != 0) stats_->coalesced_ops.AddSingleWriter(1);
+  if (cur_queued_) stats_->coalesced_ops.AddSingleWriter(1);
   cur_op_ = OpTracker::kImmediate;
-  if (!active_slots_.empty()) Scan();
+  if (!active_slots_.empty()) Scan(cur_now_);
 }
 
-void Coalescer::Scan() {
-  const int64_t now = NowNanos();
+void Coalescer::Scan(int64_t now) {
   size_t w = 0;
   for (size_t i = 0; i < active_slots_.size(); ++i) {
     const NodeId slot = active_slots_[i];
@@ -135,8 +144,6 @@ void Coalescer::DrainSlot(NodeId slot, int64_t now) {
             obs::Phase::kCoalesceWait, waited, ctx_->node));
       }
     }
-    auto it = queued_ops_.find(s.op_id);
-    if (--it->second == 0) queued_ops_.erase(it);
   }
   for (const Entry& e : b.entries) {
     m.keys.push_back(e.key);
@@ -154,7 +161,6 @@ void Coalescer::DrainSlot(NodeId slot, int64_t now) {
   stats_->coalesce_batches.AddSingleWriter(static_cast<int64_t>(n_ops));
   b.ops.clear();
   b.entries.clear();
-  b.last_entry.clear();
 }
 
 }  // namespace ps

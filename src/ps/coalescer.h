@@ -2,12 +2,12 @@
 #define LAPSE_PS_COALESCER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
 #include "obs/timeline.h"
 #include "ps/node_context.h"
+#include "util/timer.h"
 
 namespace lapse {
 namespace ps {
@@ -39,6 +39,9 @@ namespace ps {
 // preserves this worker's per-key issue order, so read-your-writes holds
 // through a batch exactly as it does on the unbatched path.
 //
+// A batch holds at most kMaxOps sub-ops, so its bookkeeping is flat
+// vectors searched linearly: no per-op allocation, no hashing.
+//
 // Batches are grouped per (destination, shard) like every other grouped
 // send, so each wire message stays shard-pure and routes straight to the
 // owning server shard's inbox (PR 7's invariant).
@@ -58,6 +61,10 @@ class Coalescer {
   // The mask width is what bounds coalesce_max_ops at kMaxOps.
   static constexpr int64_t kTracedOpBit = int64_t{1} << 62;
   static constexpr uint32_t kMaxOps = 62;
+  // Pull deduplication looks this many entries back for the key's latest
+  // entry (every entry of a batch of single-key ops). A key whose latest
+  // entry is further back gets a fresh one: same result, one more entry.
+  static constexpr size_t kDedupWindow = 128;
 
   Coalescer(NodeContext* ctx, net::Endpoint* endpoint, int32_t thread,
             obs::EventRing* trace_ring);
@@ -66,12 +73,13 @@ class Coalescer {
   Coalescer& operator=(const Coalescer&) = delete;
 
   // Opens op `op_id`'s enqueue scope; AddPull/AddPush calls until EndOp
-  // belong to it. The issue clock is read lazily on the first Add, so ops
-  // that turn out fully local pay nothing here.
-  void BeginOp(uint64_t op_id, bool traced) {
+  // belong to it. `now` is the op's issue time, read once by the worker:
+  // it stamps the op's sub-ops and drives EndOp's trigger check.
+  void BeginOp(uint64_t op_id, bool traced, int64_t now) {
     cur_op_ = op_id;
     cur_traced_ = traced;
-    cur_now_ = 0;
+    cur_now_ = now;
+    cur_queued_ = false;
   }
 
   // Queues one remote key of the current op on slot (dst * num_shards +
@@ -87,18 +95,20 @@ class Coalescer {
   // Age/count check without an enqueue scope -- the one branch per
   // operation the coalescer costs on the all-local fast path. Called at
   // the top of every pull/push so a worker that goes local-only cannot
-  // strand a held batch past its delay bound.
-  void MaybeDrain() {
-    if (!active_slots_.empty()) Scan();
+  // strand a held batch past its delay bound. Returns the clock reading
+  // it took (0 when no batch is held), for the op to reuse.
+  int64_t MaybeDrain() {
+    if (active_slots_.empty()) return 0;
+    const int64_t now = NowNanos();
+    Scan(now);
+    return now;
   }
 
   // Immediately sends the batch holding op `op` (all held batches, in
   // fact: forced drains are barrier-shaped). No-op unless the op has
   // queued sub-ops. Backs Wait/IsDone.
   void DrainIfQueued(uint64_t op) {
-    if (op == OpTracker::kImmediate || queued_ops_.empty()) return;
-    if (queued_ops_.find(op) == queued_ops_.end()) return;
-    DrainAll();
+    if (op != OpTracker::kImmediate && IsQueued(op)) DrainAll();
   }
 
   // Sends every held batch. Backs WaitAll, worker teardown, and
@@ -124,18 +134,17 @@ class Coalescer {
     std::vector<SubOp> ops;
     std::vector<Entry> entries;
     std::vector<Val> vals;  // push payloads, entry order
-    // Latest entry of each key, for pull deduplication. A pull merges
-    // onto it only when it is itself a pull; anything later appends (and
-    // repoints), which is what keeps per-key entry order = issue order.
-    std::unordered_map<Key, size_t> last_entry;
   };
 
   // Registers the current op in slot's batch (first key of this op on
   // this slot) and returns its sub-op index.
   size_t RegisterOp(NodeId slot, SlotBatch& b);
 
+  // True if op `op` has a sub-op in a held batch.
+  bool IsQueued(uint64_t op) const;
+
   // Applies the dual trigger to every active slot; drains due batches.
-  void Scan();
+  void Scan(int64_t now);
 
   // Builds and sends one slot's kBatchOp message; records batch-size /
   // wait histograms, stats, and kCoalesceWait trace events.
@@ -152,14 +161,12 @@ class Coalescer {
 
   std::vector<SlotBatch> slots_;
   std::vector<NodeId> active_slots_;  // slots with a non-empty batch
-  // Ops with queued (unsent) sub-ops -> number of slots holding them.
-  // What makes Wait(op)'s drain-only-if-held check O(1).
-  std::unordered_map<uint64_t, uint32_t> queued_ops_;
 
   // Current enqueue scope (BeginOp .. EndOp).
   uint64_t cur_op_ = OpTracker::kImmediate;
   bool cur_traced_ = false;
-  int64_t cur_now_ = 0;  // 0 until the first Add reads the clock
+  bool cur_queued_ = false;  // the current op queued at least one key
+  int64_t cur_now_ = 0;
 };
 
 }  // namespace ps

@@ -140,7 +140,9 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   CheckDistinct(keys);
   // Age/count check on every op -- including ones that turn out all-local,
   // so a worker gone local-only cannot strand a held batch past its delay.
-  if (coalescer_) coalescer_->MaybeDrain();
+  // The op's one clock reading: taken here only if a batch is held,
+  // else on the slow path (the fast path needs none).
+  int64_t now = coalescer_ ? coalescer_->MaybeDrain() : 0;
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/false);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -206,10 +208,11 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
       off += layout.Length(keys[i]);
     }
   }
-  const uint64_t op = tracker_->Create(dst, sc.key_offsets, NowNanos());
+  if (now == 0) now = NowNanos();
+  const uint64_t op = tracker_->Create(dst, sc.key_offsets, now);
   const uint64_t trace_uid =
       traced ? TraceIssue(obs::OpKind::kPull, op, t_issue) : 0;
-  if (coalescer_) coalescer_->BeginOp(op, traced);
+  if (coalescer_) coalescer_->BeginOp(op, traced, now);
 
   size_t inline_done = 0;
   int64_t local_reads = static_cast<int64_t>(done) - replica_reads;
@@ -302,7 +305,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
 uint64_t Worker::PushAsync(const std::vector<Key>& keys,
                            const Val* updates) {
   CheckDistinct(keys);
-  if (coalescer_) coalescer_->MaybeDrain();
+  int64_t now = coalescer_ ? coalescer_->MaybeDrain() : 0;
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/true);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -370,10 +373,11 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
       off += layout.Length(keys[i]);
     }
   }
-  const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  if (now == 0) now = NowNanos();
+  const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, now);
   const uint64_t trace_uid =
       traced ? TraceIssue(obs::OpKind::kPush, op, t_issue) : 0;
-  if (coalescer_) coalescer_->BeginOp(op, traced);
+  if (coalescer_) coalescer_->BeginOp(op, traced, now);
 
   size_t inline_done = 0;
   // The fast-path prefix mixes owned writes and replica folds; only the

@@ -30,8 +30,13 @@ namespace ps {
 // Contracts:
 //  * Keys within one operation must be distinct.
 //  * For asynchronous pulls, the destination buffer must stay valid until
-//    Wait(). Push update buffers may be reused as soon as the call returns
-//    (updates are copied if they cannot be applied immediately).
+//    the op completes (Wait()). Push update buffers may be reused as soon
+//    as the call returns (updates are copied if they cannot be applied
+//    immediately).
+//  * A handle may be dropped without waiting on it (latency hiding does
+//    this with LocalizeAsync): the op's tracker slot is reclaimed when its
+//    last key completes, so tracker memory is bounded by the ops
+//    outstanding at once. Wait/WaitAll spin briefly, then park.
 //  * A Worker is owned by exactly one thread.
 //
 // Fast local access (Section 3.3): under kLapse and kClassicFastLocal,

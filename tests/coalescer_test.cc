@@ -194,6 +194,37 @@ TEST(CoalescerTest, ShardPureBatchesAcrossFourShards) {
   EXPECT_GT(system.node_stats(0).coalesce_batches.count(), 0);
 }
 
+TEST(CoalescerTest, PullBeyondDedupWindowGetsOwnEntry) {
+  // Keys 200..399 are homed at node 1. A 150-key pull puts key 200's
+  // entry more than kDedupWindow entries back, so a later pull of 200
+  // appends a fresh entry instead of merging; one of 349 still merges.
+  // Either way every buffer must see the push queued first.
+  Config cfg = CoalescingConfig(/*max_ops=*/62);
+  cfg.num_keys = 400;
+  PsSystem system(cfg);
+  system.Run([&](Worker& w) {
+    if (w.node() != 0) return;
+    const std::vector<Val> update = {1.0f, 2.0f};
+    w.PushAsync({200}, update.data());
+    std::vector<Key> wide;
+    for (Key k = 200; k < 350; ++k) wide.push_back(k);
+    ASSERT_GT(wide.size(), Coalescer::kDedupWindow);
+    std::vector<Val> wide_buf(2 * wide.size(), -1.0f);
+    std::vector<Val> far_buf(2, -1.0f), near_buf(2, -1.0f);
+    w.PullAsync(wide, wide_buf.data());
+    w.PullAsync({200}, far_buf.data());
+    w.PullAsync({349}, near_buf.data());
+    w.WaitAll();
+    EXPECT_EQ(wide_buf[0], 1.0f);
+    EXPECT_EQ(wide_buf[1], 2.0f);
+    for (size_t i = 2; i < wide_buf.size(); ++i) EXPECT_EQ(wide_buf[i], 0.0f);
+    EXPECT_EQ(far_buf[0], 1.0f);
+    EXPECT_EQ(far_buf[1], 2.0f);
+    EXPECT_EQ(near_buf[0], 0.0f);
+  });
+  EXPECT_EQ(system.node_stats(0).coalesce_batches.sum(), 4);
+}
+
 TEST(CoalescerTest, DisabledByDefaultSendsNoBatches) {
   Config cfg = CoalescingConfig();
   cfg.coalescing = false;

@@ -65,6 +65,45 @@ TEST(InboxTest, DeliversInDeliveryTimeOrder) {
   EXPECT_EQ(out.op_id, 1u);
 }
 
+TEST(InboxTest, EarlierMessagePutDuringSpinIsTakenFirst) {
+  // The consumer spins on a "remote" message due in 100 us (inside the
+  // spin window). A "loop-back" message due 2 us after its Put arrives
+  // during that spin. Every message must come out no earlier than its
+  // delivery time, and the loop-back one first whenever its Put landed
+  // before the remote one fell due. How soon after its delivery time it
+  // comes out is host timing, so the test does not bound it.
+  Inbox inbox;
+  std::vector<std::pair<uint64_t, int64_t>> taken;  // (op_id, taken at)
+  std::thread consumer([&] {
+    Message out;
+    for (int i = 0; i < 2; ++i) {
+      if (!inbox.Take(&out)) return;
+      taken.emplace_back(out.op_id, NowNanos());
+    }
+  });
+  const int64_t t0 = NowNanos();
+  Message remote = MakeMsg(MsgType::kPull, 0, 1);
+  remote.deliver_ns = t0 + 100'000;
+  const int64_t remote_deliver = remote.deliver_ns;
+  inbox.Put(std::move(remote));
+  while (NowNanos() < t0 + 50'000) {
+  }
+  Message loopback = MakeMsg(MsgType::kPull, 0, 2);
+  loopback.deliver_ns = NowNanos() + 2'000;
+  const int64_t loopback_deliver = loopback.deliver_ns;
+  inbox.Put(std::move(loopback));
+  const int64_t put_done = NowNanos();
+  consumer.join();
+
+  ASSERT_EQ(taken.size(), 2u);
+  for (const auto& [op, at] : taken) {
+    EXPECT_GE(at, op == 1 ? remote_deliver : loopback_deliver);
+  }
+  if (put_done < remote_deliver) {
+    EXPECT_EQ(taken[0].first, 2u);
+  }
+}
+
 TEST(InboxTest, ShutdownDrainsThenReturnsFalse) {
   Inbox inbox;
   Message a = MakeMsg(MsgType::kPull, 0, 1);

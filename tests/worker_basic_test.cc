@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "ps/system.h"
@@ -254,6 +255,35 @@ TEST(SystemTest, MultipleRunPhasesShareState) {
     std::vector<Val> buf(2);
     w.Pull({4}, buf.data());
     EXPECT_EQ(buf[0], 1.0f);
+  });
+}
+
+TEST(WorkerTest, DroppedLocalizeHandlesLeaveTrackerBounded) {
+  // Latency hiding issues LocalizeAsync and never waits on the handle.
+  // Each op's tracker slot is reclaimed when its relocation completes, so
+  // the table stays as small as the window of relocations in flight.
+  Config cfg = SmallConfig(Architecture::kLapse);
+  cfg.num_keys = 20'000;
+  cfg.uniform_value_length = 1;
+  PsSystem system(cfg);
+  constexpr size_t kWindow = 50;
+  system.Run([&](Worker& w) {
+    if (w.node() != 0) return;
+    const OpTracker& tracker =
+        system.node_context(w.node()).TrackerFor(w.thread_slot());
+    size_t issued = 0;
+    for (Key k = 0; k < cfg.num_keys; ++k) {
+      if (w.layout().Home(k) == w.node()) continue;
+      w.LocalizeAsync({k});  // handle dropped
+      if (++issued % kWindow == 0) {
+        // Not a Wait: the ops must drain from the tracker on their own.
+        while (tracker.NumPending() != 0) std::this_thread::yield();
+      }
+    }
+    while (tracker.NumPending() != 0) std::this_thread::yield();
+    EXPECT_GT(issued, 5'000u);
+    EXPECT_LE(tracker.NumSlots(), kWindow);
+    for (Key k = 0; k < cfg.num_keys; ++k) EXPECT_TRUE(w.IsLocal(k));
   });
 }
 
