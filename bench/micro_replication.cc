@@ -25,9 +25,10 @@
 //
 // A second suite measures WRITE AGGREGATION on a write-heavy mix
 // (--write-frac, default 0.5): the same pinned hot set, manual pinning
-// (isolating aggregation from detection), aggregation on vs off. The
-// "owner-bound messages" rows count kPush messages on the wire during the
-// measure phase -- Petuum-style accumulators must cut them by >= 2x.
+// (isolating aggregation from detection), the default flush cap vs a cap
+// of one fold (one owner message per push, the no-aggregation baseline).
+// The "owner-bound messages" rows count push envelopes on the wire during
+// the measure phase -- Petuum-style accumulators must cut them by >= 2x.
 //
 // A third suite measures ADAPTIVE FLUSH SIZING on a skewed-write mix:
 // writes are Zipf-concentrated on the pinned hot set, so per-key write
@@ -36,7 +37,7 @@
 // flush per few folds even on the hottest keys; adaptive sizing scales
 // each pinned key's cap with its observed write rate between the floor
 // and the global cap, so hot writers batch deep while cold writers keep
-// flushing promptly. Rows: owner-bound kPush messages, flat-floor vs
+// flushing promptly. Rows: owner-bound push envelopes, flat-floor vs
 // adaptive (reduction bar >= 1.5).
 
 #include <cstdio>
@@ -176,13 +177,21 @@ void PrintRun(const char* name, const RunResult& r) {
 
 // ---- write-heavy suite: aggregation on vs off --------------------------
 
+// Push envelopes (kBatchOp) sent so far. Every op of these suites is a
+// single-key sync op with coalescing off and no key ever relocates, so
+// each remote pull is exactly one envelope; the rest carry pushes.
+int64_t OwnerPushMsgs(ps::PsSystem& system) {
+  return system.net_stats().MessagesOfType(net::MsgType::kBatchOp) -
+         system.TotalRemoteReads();
+}
+
 constexpr uint64_t kPinnedRanks = 64;  // the shared hot set every node pins
 constexpr int kWriteWarmupRounds = 1;
 constexpr int kWriteMeasureRounds = 2;
 
 struct WriteHeavyResult {
   double steady_ops_per_sec = 0;
-  int64_t owner_push_msgs = 0;  // kPush messages during the measure phase
+  int64_t owner_push_msgs = 0;  // push envelopes during the measure phase
   int64_t folds = 0;            // pushes aggregated locally
 };
 
@@ -191,7 +200,8 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
   // Isolate aggregation from detection: no adaptive engine, the hot set
   // is pinned manually by every node before the measured rounds.
   cfg.adaptive.enabled = false;
-  cfg.replica_write_aggregation = aggregation;
+  // Off: every fold is flushed at once, one owner message per push.
+  if (!aggregation) cfg.replica_flush_max_folds = 1;
   ps::PsSystem system(cfg);
   const ZipfSampler zipf(kKeys, kZipfExponent);
   const int total_rounds = kWriteWarmupRounds + kWriteMeasureRounds;
@@ -217,8 +227,7 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
         // Snapshot between two barriers: no worker is pushing while the
         // baseline message count is read.
         if (node == 0) {
-          push_msgs_at_measure_start =
-              system.net_stats().MessagesOfType(net::MsgType::kPush);
+          push_msgs_at_measure_start = OwnerPushMsgs(system);
         }
         w.Barrier();
       }
@@ -245,8 +254,7 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
   result.steady_ops_per_sec =
       per_round_ops * kWriteMeasureRounds / steady_secs;
   result.owner_push_msgs =
-      system.net_stats().MessagesOfType(net::MsgType::kPush) -
-      push_msgs_at_measure_start;
+      OwnerPushMsgs(system) - push_msgs_at_measure_start;
   for (NodeId n = 0; n < kNodes; ++n) {
     result.folds += system.replica_manager(n)->stats().folds;
   }
@@ -260,7 +268,7 @@ constexpr uint32_t kFlushGlobalCap = 32;
 
 struct AdaptiveFlushResult {
   double steady_ops_per_sec = 0;
-  int64_t owner_push_msgs = 0;  // kPush messages during the measure phase
+  int64_t owner_push_msgs = 0;  // push envelopes during the measure phase
   double hot_key_cap = 0;       // node 0's learned cap for the hottest key
 };
 
@@ -311,8 +319,7 @@ AdaptiveFlushResult RunSkewedWrites(double write_frac, bool adaptive) {
       w.Barrier();
       if (round == kWriteWarmupRounds) {
         if (node == 0) {
-          push_msgs_at_measure_start =
-              system.net_stats().MessagesOfType(net::MsgType::kPush);
+          push_msgs_at_measure_start = OwnerPushMsgs(system);
         }
         w.Barrier();
       }
@@ -340,8 +347,7 @@ AdaptiveFlushResult RunSkewedWrites(double write_frac, bool adaptive) {
   result.steady_ops_per_sec =
       per_round_ops * kWriteMeasureRounds / steady_secs;
   result.owner_push_msgs =
-      system.net_stats().MessagesOfType(net::MsgType::kPush) -
-      push_msgs_at_measure_start;
+      OwnerPushMsgs(system) - push_msgs_at_measure_start;
   result.hot_key_cap =
       static_cast<double>(system.replica_manager(0)->FlushCap(KeyFor(0)));
   return result;
@@ -375,7 +381,7 @@ int main(int argc, char** argv) {
       "aggregated writes PR 4",
       "read-mostly suite: shared Zipf hot set, adaptive engine on in both "
       "runs, only Config::replication differs. write-heavy suite: manual "
-      "pinning, only Config::replica_write_aggregation differs");
+      "pinning, only Config::replica_flush_max_folds differs (1 = off)");
 
   std::printf("replication off (adaptive only)...\n");
   const RunResult off = RunWorkload(/*replication=*/false);
@@ -388,8 +394,10 @@ int main(int argc, char** argv) {
   std::printf("steady-state speedup: %.2fx\n",
               on.steady_ops_per_sec / off.steady_ops_per_sec);
 
-  std::printf("write-heavy mix (write-frac %.2f), aggregation off...\n",
-              write_frac);
+  std::printf(
+      "write-heavy mix (write-frac %.2f), aggregation off (flush every "
+      "fold)...\n",
+      write_frac);
   const WriteHeavyResult agg_off =
       RunWriteHeavy(write_frac, /*aggregation=*/false);
   std::printf("  [off] steady %.0f ops/s, %lld owner-bound push msgs\n",

@@ -21,7 +21,7 @@
 //                                             flush in batches (write
 //                                             aggregation; add
 //                                             --write-through to compare
-//                                             against per-push forwarding)
+//                                             against one flush per push)
 
 #include <cstdio>
 #include <cstring>
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                                      net::LatencyConfig::Lan());
   pscfg.adaptive.enabled = auto_placement;
   pscfg.replication = replication;
-  pscfg.replica_write_aggregation = !write_through;
+  if (write_through) pscfg.replica_flush_max_folds = 1;
   std::printf("placement: %s%s%s\n",
               auto_placement ? "adaptive engine" : "manual Localize()",
               replication ? " + replication" : "",

@@ -42,6 +42,11 @@ std::vector<std::vector<Val>>& ValPool() {
   return pool;
 }
 
+std::vector<std::vector<int64_t>>& AuxPool() {
+  static thread_local std::vector<std::vector<int64_t>> pool;
+  return pool;
+}
+
 }  // namespace
 
 std::vector<Key> BufferPool::GetKeys() { return PoolGet(KeyPool()); }
@@ -51,6 +56,10 @@ void BufferPool::PutKeys(std::vector<Key> v) {
 }
 void BufferPool::PutVals(std::vector<Val> v) {
   PoolPut(ValPool(), std::move(v));
+}
+std::vector<int64_t> BufferPool::GetAux() { return PoolGet(AuxPool()); }
+void BufferPool::PutAux(std::vector<int64_t> v) {
+  PoolPut(AuxPool(), std::move(v));
 }
 
 const char* MsgTypeName(MsgType type) {
@@ -109,7 +118,7 @@ std::string Message::DebugString() const {
   std::ostringstream os;
   os << MsgTypeName(type) << " " << src_node << ":" << src_thread << " -> "
      << dst_node << " op=" << op_id << " orig=" << orig_node << ":"
-     << orig_thread << " keys=" << keys.size() << " vals=" << val_count()
+     << orig_thread << " keys=" << keys.size() << " vals=" << vals.size()
      << " hops=" << hops;
   return os.str();
 }

@@ -2,7 +2,6 @@
 #define LAPSE_NET_MESSAGE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,11 +20,16 @@ namespace net {
 // stale (bounded-staleness) PS, and the low-level baseline share the
 // transport, so all their types are enumerated here.
 enum class MsgType : uint8_t {
-  // -- core PS operations ----------------------------------------------
-  kPull,              // worker/server -> server: read parameter values
-  kPullResp,          // owner -> origin node: values for a pull
-  kPush,              // worker/server -> server: cumulative update
-  kPushAck,           // owner -> origin node: update applied
+  // -- retired single-op formats ----------------------------------------
+  // Keyed pulls and pushes travel only as kBatchOp envelopes (one sub-op
+  // when not coalesced) answered by kBatchResp, so the PS core sends none
+  // of these four. They stay declared because the repo benchmark's
+  // per-type message counters (perfbench/harness.cc) name them, and raw
+  // network tests use them as plain payload types.
+  kPull,
+  kPullResp,
+  kPush,
+  kPushAck,
   // -- dynamic parameter allocation (Section 3.2 of the paper) ----------
   kLocalize,          // requester -> home: request relocation   (msg 1)
   kRelocateInstruct,  // home -> old owner: hand the key over    (msg 2)
@@ -45,9 +49,9 @@ enum class MsgType : uint8_t {
   kSspPushUpdates,    // server-sync mode: owner pushes values to readers
   // -- low-level matrix factorization baseline (Section 4.4) ------------
   kBlockTransfer,     // raw factor block handed node-to-node
-  // -- bounded-delay request coalescing (ps::Coalescer) ------------------
-  kBatchOp,           // worker coalescer -> server: multi-op pull/push batch
-  kBatchResp,         // server -> origin: batched responses/acks
+  // -- keyed operations (ps::Coalescer envelope layout) -------------------
+  kBatchOp,           // worker/server -> server: pulls/pushes of 1+ ops
+  kBatchResp,         // owner -> origin node: values/acks of served entries
   // -- control -----------------------------------------------------------
   kShutdown,          // terminate a server loop
   kNumTypes
@@ -67,6 +71,8 @@ class BufferPool {
   static std::vector<Val> GetVals();
   static void PutKeys(std::vector<Key> v);
   static void PutVals(std::vector<Val> v);
+  static std::vector<int64_t> GetAux();
+  static void PutAux(std::vector<int64_t> v);
 };
 
 // A network message. Plain struct; moved, never copied on the hot path.
@@ -92,27 +98,16 @@ struct Message {
   std::vector<Val> vals;
   std::vector<int64_t> aux;  // protocol-specific extras (clocks, block ids)
 
-  // Shared immutable value payload, set *instead of* `vals` when one payload
-  // fans out to many peers (broadcast-ops pushes): n-1 full copies become
-  // one shared buffer. Readers must go through val_data()/val_count().
-  std::shared_ptr<const std::vector<Val>> shared_vals;
-
-  const Val* val_data() const {
-    return shared_vals ? shared_vals->data() : vals.data();
-  }
-  size_t val_count() const {
-    return shared_vals ? shared_vals->size() : vals.size();
-  }
-
   // Returns the payload buffers to the calling thread's BufferPool. Call
   // when the message has been fully handled; the moved-from vectors stay
   // valid and empty.
   void Recycle() {
     BufferPool::PutKeys(std::move(keys));
     BufferPool::PutVals(std::move(vals));
+    BufferPool::PutAux(std::move(aux));
     keys.clear();
     vals.clear();
-    shared_vals.reset();
+    aux.clear();
   }
 
   // Simulation bookkeeping (set by the network).
@@ -130,7 +125,7 @@ struct Message {
 
   // Approximate wire size used by the latency model and byte counters.
   size_t WireBytes() const {
-    return 48 + keys.size() * sizeof(Key) + val_count() * sizeof(Val) +
+    return 48 + keys.size() * sizeof(Key) + vals.size() * sizeof(Val) +
            aux.size() * sizeof(int64_t);
   }
 

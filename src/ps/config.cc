@@ -127,10 +127,9 @@ void Config::Validate() const {
     LAPSE_CHECK_GE(adaptive.max_localizes_per_tick, 1u)
         << "Config: adaptive.max_localizes_per_tick must be >= 1";
     if (adaptive.adaptive_flush) {
-      LAPSE_CHECK(replication && replica_write_aggregation)
+      LAPSE_CHECK(replication)
           << "Config: adaptive.adaptive_flush scales the replica flush cap "
-             "per key, so it needs replication with "
-             "replica_write_aggregation on";
+             "per key, so it needs replication";
       LAPSE_CHECK_GE(adaptive.flush_folds_floor, 1u)
           << "Config: adaptive.flush_folds_floor must be >= 1 (a zero floor "
              "would disable the count trigger for write-cold keys)";
@@ -174,20 +173,18 @@ void Config::Validate() const {
     LAPSE_CHECK_GT(replica_staleness_micros, 0)
         << "Config: replica_staleness_micros must be positive (it bounds "
            "how stale a replica-served read may be)";
-    if (replica_write_aggregation) {
-      LAPSE_CHECK_GT(replica_flush_micros, 0)
-          << "Config: replica_flush_micros must be positive (it bounds how "
-             "long an aggregated write may sit in a local accumulator)";
-      LAPSE_CHECK_GE(replica_flush_max_folds, 1u)
-          << "Config: replica_flush_max_folds must be >= 1 (0 would never "
-             "trigger a count-based flush and overflow nothing into the "
-             "age trigger's contract)";
-      LAPSE_CHECK_LE(replica_flush_micros, replica_staleness_micros)
-          << "Config: replica_flush_micros must not exceed "
-             "replica_staleness_micros -- folds held back longer than the "
-             "staleness bound would make other holders' replica-served "
-             "reads lag the bounded-staleness contract";
-    }
+    LAPSE_CHECK_GT(replica_flush_micros, 0)
+        << "Config: replica_flush_micros must be positive (it bounds how "
+           "long an aggregated write may sit in a local accumulator)";
+    LAPSE_CHECK_GE(replica_flush_max_folds, 1u)
+        << "Config: replica_flush_max_folds must be >= 1 (0 would never "
+           "trigger a count-based flush and overflow nothing into the "
+           "age trigger's contract)";
+    LAPSE_CHECK_LE(replica_flush_micros, replica_staleness_micros)
+        << "Config: replica_flush_micros must not exceed "
+           "replica_staleness_micros -- folds held back longer than the "
+           "staleness bound would make other holders' replica-served "
+           "reads lag the bounded-staleness contract";
   }
 
   if (coalescing) {

@@ -160,12 +160,10 @@ struct Config {
   // keep it well above the interconnect round-trip time or replicas
   // thrash (see bench/micro_replication.cc).
   int64_t replica_staleness_micros = 2000;
-  // Write aggregation (Petuum-style accumulators): pushes to pinned keys
-  // fold into a per-key local accumulator instead of paying one owner
+  // Pushes to pinned keys fold into a per-key local accumulator
+  // (Petuum-style write aggregation) instead of paying one owner
   // round-trip each; accumulators are flushed to the owners in batches,
-  // one coalesced message per destination node. Off reverts to PR-3
-  // write-through (every push forwarded immediately).
-  bool replica_write_aggregation = true;
+  // one envelope per destination node, by two triggers:
   // A flush is due once the oldest unflushed fold on the node is this
   // old. Must be <= replica_staleness_micros: folds older than the
   // staleness bound would make other nodes' replica-served reads lag the
@@ -179,13 +177,17 @@ struct Config {
   uint32_t replica_flush_max_folds = 32;
 
   // --- bounded-delay request coalescing (ps::Coalescer) -----------------
-  // Master switch: each worker merges its async pull/push ops destined for
-  // remote shards into per-(destination node, shard) batched wire messages
-  // (net::MsgType::kBatchOp) instead of paying one message per op. A batch
-  // is released by a dual trigger -- coalesce_max_ops queued ops, or the
-  // oldest queued op reaching coalesce_delay_micros -- and Wait/WaitAll
-  // force an immediate drain, so barriers never stall on a held batch.
-  // Off (the default) costs one branch per op on the async paths.
+  // Remote pulls and pushes always travel as kBatchOp envelopes; this
+  // switch decides how long an envelope may stay open. Off (the default):
+  // every op's envelopes (one per destination node and shard, each holding
+  // just that op) are sent before the issuing call returns. On: each
+  // worker holds its async ops' envelopes per (destination node, shard)
+  // and merges later ops into them, paying one message per batch instead
+  // of one per op. A batch is released by a dual trigger --
+  // coalesce_max_ops queued ops, or the oldest queued op reaching
+  // coalesce_delay_micros -- and Wait/WaitAll force an immediate drain, so
+  // barriers never stall on a held batch. Broadcast-ops ops and replica
+  // flushes are never held.
   bool coalescing = false;
   // Age trigger: a worker's queued batch is sent once its oldest op has
   // waited this long (checked at the next op issued by that worker). This

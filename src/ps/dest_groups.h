@@ -2,6 +2,7 @@
 #define LAPSE_PS_DEST_GROUPS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -11,12 +12,12 @@ namespace lapse {
 namespace ps {
 
 // Flat node-indexed grouping of an operation's keys (and optionally value
-// slices) by destination, replacing per-op std::map grouping. Owned by one
+// slices and envelope entry words) by destination, replacing per-op std::map grouping. Owned by one
 // thread as a reusable scratch: buffers are cleared per op, never shrunk,
 // so grouping allocates nothing in steady state. Usage per op:
 //
 //   groups.Begin();
-//   groups.AddKey(dst, k);              // and AddVals(dst, p, n) for pushes
+//   groups.AddKey(dst, k);              // and AddVals / AddWord as needed
 //   for (NodeId n : groups.touched()) {
 //     msg.keys = groups.TakeKeys(n);    // moves the buffer out and replaces
 //     msg.vals = groups.TakeVals(n);    // it with an empty one
@@ -26,6 +27,7 @@ class DestGroups {
   void Resize(size_t num_nodes) {
     keys_.resize(num_nodes);
     vals_.resize(num_nodes);
+    words_.resize(num_nodes);
   }
 
   void Begin() { touched_.clear(); }
@@ -34,9 +36,10 @@ class DestGroups {
     auto& group = keys_[dst];
     if (group.empty()) {
       touched_.push_back(dst);
-      // Keys-only callers never drain vals_; drop anything a previous op
-      // left behind so it cannot leak into this op's payload.
+      // Keys-only callers never drain vals_ or words_; drop anything a
+      // previous op left behind so it cannot leak into this op's payload.
       vals_[dst].clear();
+      words_[dst].clear();
     }
     group.push_back(k);
   }
@@ -45,9 +48,14 @@ class DestGroups {
     vals_[dst].insert(vals_[dst].end(), data, data + n);
   }
 
+  void AddWord(NodeId dst, int64_t word) { words_[dst].push_back(word); }
+
   const std::vector<NodeId>& touched() const { return touched_; }
 
   const std::vector<Key>& KeysOf(NodeId dst) const { return keys_[dst]; }
+  const std::vector<int64_t>& WordsOf(NodeId dst) const {
+    return words_[dst];
+  }
 
   // Move a group's buffer into a message, leaving an empty (but valid)
   // vector behind so the slot is reusable next op.
@@ -65,6 +73,7 @@ class DestGroups {
  private:
   std::vector<std::vector<Key>> keys_;
   std::vector<std::vector<Val>> vals_;
+  std::vector<std::vector<int64_t>> words_;
   std::vector<NodeId> touched_;
 };
 

@@ -41,7 +41,7 @@ enum class KeyState : uint8_t {
 
 // A local worker operation deferred because its key is currently arriving.
 struct DeferredLocalOp {
-  net::MsgType type;  // kPull or kPush
+  bool is_push = false;
   Key key;
   Val* pull_dst = nullptr;        // for pulls
   std::vector<Val> push_update;   // for pushes (copied)
@@ -54,9 +54,10 @@ struct DeferredLocalOp {
   int64_t queued_ns = 0;
 };
 
-// Items queued for an arriving key, in arrival order: local ops, forwarded
-// remote ops (kept as single-key messages), and relocation instructions
-// (a chained localize that must transfer the key away once it lands).
+// Items queued for an arriving key, in arrival order: local ops, remote
+// envelope entries (kept as one-entry kBatchOp envelopes), and relocation
+// instructions (a chained localize that must transfer the key away once it
+// lands).
 using Deferred = std::variant<DeferredLocalOp, net::Message>;
 
 struct ArrivingKey {

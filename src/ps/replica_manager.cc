@@ -8,20 +8,16 @@ namespace lapse {
 namespace ps {
 
 ReplicaManager::ReplicaManager(const KeyLayout* layout,
-                               int64_t staleness_micros,
-                               bool aggregate_writes, int64_t flush_micros,
+                               int64_t staleness_micros, int64_t flush_micros,
                                uint32_t flush_max_folds)
     : layout_(layout),
       staleness_ns_(staleness_micros * 1000),
-      aggregate_(aggregate_writes),
       flush_ns_(flush_micros * 1000),
       flush_max_folds_(flush_max_folds),
       values_(layout->num_keys()),
       acc_(layout->num_keys()),
       fold_counts_(layout->num_keys(), 0),
       flush_caps_(layout->num_keys(), 0),
-      unacked_writes_(layout->num_keys(), 0),
-      write_settled_ns_(layout->num_keys(), 0),
       install_ns_(layout->num_keys()),
       pinned_(layout->num_keys()),
       latches_(layout->num_keys()) {
@@ -36,14 +32,10 @@ void ReplicaManager::Pin(Key k) {
   // sees the flag always finds them (the copy starts absent either way).
   const size_t len = layout_->Length(k);
   values_[k] = std::make_unique<Val[]>(len);
-  if (aggregate_) {
-    acc_[k] = std::make_unique<Val[]>(len);
-    std::memset(acc_[k].get(), 0, len * sizeof(Val));
-    fold_counts_[k] = 0;
-    flush_caps_[k] = 0;  // every pin starts at the configured cap
-  }
-  unacked_writes_[k] = 0;
-  write_settled_ns_[k] = 0;
+  acc_[k] = std::make_unique<Val[]>(len);
+  std::memset(acc_[k].get(), 0, len * sizeof(Val));
+  fold_counts_[k] = 0;
+  flush_caps_[k] = 0;  // every pin starts at the configured cap
   pinned_[k].store(1, std::memory_order_release);
   n_pinned_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -54,13 +46,11 @@ bool ReplicaManager::Unpin(Key k, Val* pending) {
   if (!IsPinned(k)) return false;
   // Hand back pending folds and drop the pin under this one latch hold:
   // a FoldWrite cannot slip between the hand-back and the unpin.
-  const bool had_folds = aggregate_ && TakeFoldsLocked(k, latch, pending);
+  const bool had_folds = TakeFoldsLocked(k, latch, pending);
   pinned_[k].store(0, std::memory_order_release);
   install_ns_[k].store(kAbsent, std::memory_order_release);
   values_[k].reset();
   acc_[k].reset();
-  unacked_writes_[k] = 0;
-  write_settled_ns_[k] = 0;
   n_pinned_.fetch_sub(1, std::memory_order_relaxed);
   n_unpins_.fetch_add(1, std::memory_order_relaxed);
   return had_folds && pending != nullptr;
@@ -90,22 +80,12 @@ bool ReplicaManager::TryRead(Key k, Val* dst) {
   return true;
 }
 
-void ReplicaManager::Install(Key k, const Val* data, int64_t issue_ns) {
+void ReplicaManager::Install(Key k, const Val* data) {
   LatchGuard latch(latches_.ForKey(k));
   if (!IsPinned(k)) return;
-  // Write-epoch check (write-through mode): a snapshot requested while a
-  // local push was in flight -- or before the last one settled -- may
-  // predate that push; installing it would overwrite the local fold and
-  // un-publish this node's own write. Drop it; a later refresh (issued
-  // after the settle point) installs cleanly. Conservative drops are
-  // benign: the copy just stays absent/stale one round-trip longer.
-  if (!aggregate_ &&
-      (unacked_writes_[k] > 0 || issue_ns < write_settled_ns_[k])) {
-    return;
-  }
   const size_t len = layout_->Length(k);
   std::memcpy(values_[k].get(), data, len * sizeof(Val));
-  if (aggregate_ && fold_counts_[k] > 0) {
+  if (fold_counts_[k] > 0) {
     // Pending folds postdate any owner snapshot: put them back on top so
     // the visible copy keeps this node's own unflushed writes.
     Val* slot = values_[k].get();
@@ -116,30 +96,9 @@ void ReplicaManager::Install(Key k, const Val* data, int64_t issue_ns) {
   n_installs_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ReplicaManager::Accumulate(Key k, const Val* update) {
-  LatchGuard latch(latches_.ForKey(k));
-  if (!IsPinned(k)) return;
-  // Open the write epoch before the absent-copy early return: even with no
-  // copy to fold into, a refresh already in flight may carry a pre-push
-  // snapshot, and Install must know to drop it.
-  ++unacked_writes_[k];
-  if (install_ns_[k].load(std::memory_order_acquire) == kAbsent) return;
-  Val* slot = values_[k].get();
-  const size_t len = layout_->Length(k);
-  for (size_t i = 0; i < len; ++i) slot[i] += update[i];
-}
-
-void ReplicaManager::NoteWriteAcked(Key k) {
-  LatchGuard latch(latches_.ForKey(k));
-  // The count can be zero after a Pin/Unpin cycle raced the ack; ignore.
-  if (unacked_writes_[k] > 0 && --unacked_writes_[k] == 0) {
-    write_settled_ns_[k] = NowNanos();
-  }
-}
-
 ReplicaManager::FoldOutcome ReplicaManager::FoldWrite(Key k,
                                                       const Val* update) {
-  if (!aggregate_ || !IsPinned(k)) return FoldOutcome::kNotAggregated;
+  if (!IsPinned(k)) return FoldOutcome::kNotAggregated;
   const int64_t now = NowNanos();
   LatchGuard latch(latches_.ForKey(k));
   if (!IsPinned(k)) return FoldOutcome::kNotAggregated;  // raced an unpin
@@ -174,7 +133,6 @@ ReplicaManager::FoldOutcome ReplicaManager::FoldWrite(Key k,
 }
 
 bool ReplicaManager::DrainKey(Key k, Val* out) {
-  if (!aggregate_) return false;
   Latch& latch = latches_.ForKey(k);
   LatchGuard guard(latch);
   if (!TakeFoldsLocked(k, latch, out)) return false;

@@ -43,9 +43,9 @@ struct ReplicaManagerStats {
 // are the rare exception, so memory stays proportional to the pinned set,
 // not to num_nodes copies of the model.
 //
-// Write aggregation (Petuum-style accumulators, optional): with
-// `aggregate_writes` on, pushes to pinned keys fold into a per-key local
-// accumulator (FoldWrite) instead of paying one owner round-trip each.
+// Write aggregation (Petuum-style accumulators): pushes to pinned keys fold
+// into a per-key local accumulator (FoldWrite) instead of paying one owner
+// round-trip each.
 // Accumulators are drained in batches -- by the pushing worker once a
 // count (flush_max_folds) or age (flush_micros) trigger fires, by the
 // server before it honors an invalidation, and by Unpin -- and the drained
@@ -60,16 +60,10 @@ struct ReplicaManagerStats {
 //    plus this node's own pending (unflushed) folds.
 //  * Writers fold their own pushes into the local copy, so a node
 //    observes its own writes (read-your-writes); the authoritative update
-//    reaches the owner via write-through (aggregation off) or the next
-//    flush (aggregation on). With aggregation on, Install re-applies the
-//    pending accumulator on top of the fresh snapshot, so only folds
+//    reaches the owner with the next flush. Install re-applies the pending
+//    accumulator on top of the fresh snapshot, so only folds
 //    drained-but-not-yet-applied at the owner can transiently disappear
-//    from the visible copy. With aggregation off, refreshes carry a write
-//    epoch: Install drops any snapshot requested while a local push was
-//    still unacked (or before the last one settled), so a refresh in
-//    flight across a push can never overwrite the fold with a pre-push
-//    value -- the conservative drop costs at most one extra refresh.
-//    (Tested in replica_test.cc: WriteThroughReadYourWrites*.)
+//    from the visible copy.
 //  * When a pinned key's ownership moves, the home directs an invalidation
 //    at every registered replica holder: the copy is dropped (the pin
 //    stays), and the next read faults a fresh value in from the new owner.
@@ -77,14 +71,13 @@ class ReplicaManager {
  public:
   // What FoldWrite did with a push to key k.
   enum class FoldOutcome : uint8_t {
-    kNotAggregated,   // unpinned key or aggregation off: write through
+    kNotAggregated,   // key not pinned here: send it to the owner
     kFolded,          // folded into the local accumulator; no message needed
     kFoldedFlushDue,  // folded, and a flush trigger fired: drain now
   };
 
   ReplicaManager(const KeyLayout* layout, int64_t staleness_micros,
-                 bool aggregate_writes = false,
-                 int64_t flush_micros = 0, uint32_t flush_max_folds = 0);
+                 int64_t flush_micros, uint32_t flush_max_folds);
 
   ReplicaManager(const ReplicaManager&) = delete;
   ReplicaManager& operator=(const ReplicaManager&) = delete;
@@ -93,8 +86,6 @@ class ReplicaManager {
   bool IsPinned(Key k) const {
     return pinned_[k].load(std::memory_order_acquire) != 0;
   }
-
-  bool aggregates_writes() const { return aggregate_; }
 
   // Marks key k replicated here (idempotent). The copy starts absent; the
   // first read falls through to the message path and installs it.
@@ -122,32 +113,12 @@ class ReplicaManager {
   // re-applied on top: the snapshot cannot contain them yet, and dropping
   // them from the visible copy would un-publish this node's own writes
   // until the flush round-trips. No-op if k is no longer pinned.
-  //
-  // `issue_ns` is when the refresh's pull was issued (0 = unknown). In
-  // write-through mode the snapshot is dropped -- keeping the folded copy
-  // -- while a local push to k is still unacked, or when the pull was
-  // issued before the last push settled: such a snapshot may predate the
-  // push and would overwrite the fold (the read-your-writes hole this
-  // epoch check closes).
-  void Install(Key k, const Val* data, int64_t issue_ns = 0);
-
-  // Write-through, local half (aggregation off): folds `update` into the
-  // copy (if present) so this node's readers see the write before the
-  // owner's ack, and opens the key's write epoch (even when no copy is
-  // installed yet -- an in-flight refresh may still carry a pre-push
-  // snapshot). Callers still forward the authoritative update; its ack
-  // closes the epoch via NoteWriteAcked.
-  void Accumulate(Key k, const Val* update);
-
-  // Write-through mode: one forwarded push to key k was acked by the
-  // owner. Once every outstanding push settled, refreshes issued from now
-  // on are guaranteed to contain the writes, so Install accepts them.
-  void NoteWriteAcked(Key k);
+  void Install(Key k, const Val* data);
 
   // Write aggregation: folds `update` into key k's accumulator (and into
   // the visible copy, if present, for read-your-writes). Returns
-  // kNotAggregated when the caller must write through instead (key not
-  // pinned here, or aggregation off); kFoldedFlushDue additionally asks
+  // kNotAggregated when the key is not pinned here and the caller must
+  // send the update to the owner; kFoldedFlushDue additionally asks
   // the caller to drain (Worker::FlushReplicas) because the key hit its
   // flush cap (SetFlushCap, default flush_max_folds) or the node's oldest
   // fold aged past flush_micros.
@@ -254,22 +225,16 @@ class ReplicaManager {
 
   const KeyLayout* layout_;
   const int64_t staleness_ns_;
-  const bool aggregate_;
   const int64_t flush_ns_;
   const uint32_t flush_max_folds_;
   // Per-key value buffer, allocated by Pin and released by Unpin (both
   // under the key's latch); null for unpinned keys. acc_ mirrors it for
-  // the write accumulator when aggregation is on.
+  // the write accumulator.
   std::vector<std::unique_ptr<Val[]>> values_ LAPSE_GUARDED_BY_KEY_LATCH;
   std::vector<std::unique_ptr<Val[]>> acc_ LAPSE_GUARDED_BY_KEY_LATCH;
   std::vector<uint32_t> fold_counts_ LAPSE_GUARDED_BY_KEY_LATCH;
   // Per-key count-trigger override; 0 = use flush_max_folds_.
   std::vector<uint32_t> flush_caps_ LAPSE_GUARDED_BY_KEY_LATCH;
-  // Write-through read-your-writes epoch (unused when aggregation is on):
-  // pushes to k forwarded to the owner but not yet acked, and when the
-  // count last returned to zero. Reset by Pin/Unpin.
-  std::vector<uint32_t> unacked_writes_ LAPSE_GUARDED_BY_KEY_LATCH;
-  std::vector<int64_t> write_settled_ns_ LAPSE_GUARDED_BY_KEY_LATCH;
   std::vector<std::atomic<int64_t>> install_ns_;  // kAbsent = no copy
   std::vector<std::atomic<uint8_t>> pinned_;
   LatchTable latches_;

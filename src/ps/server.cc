@@ -18,8 +18,8 @@ using net::MsgType;
 
 namespace {
 
-// Header-only copy of a request for single-key deferral: everything except
-// the payload (which the caller fills with just the deferred key's slice).
+// Copy of a relocation request (localize or instruct) narrowed to key k,
+// for deferral on k's arrival queue or a chase toward its owner.
 Message SingleKeyCopy(const Message& msg, Key k) {
   Message d;
   d.type = msg.type;
@@ -32,6 +32,25 @@ Message SingleKeyCopy(const Message& msg, Key k) {
   d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
   d.keys.push_back(k);
   return d;
+}
+
+// An envelope of one sub-op, `op`, with one entry for key k: a push of
+// `push_vals` if `is_push`, else a pull.
+Message OneOpEnvelope(NodeId orig_node, int32_t orig_thread, uint64_t op,
+                      bool traced, Key k, bool is_push,
+                      std::vector<Val> push_vals) {
+  Message m;
+  m.type = MsgType::kBatchOp;
+  m.orig_node = orig_node;
+  m.orig_thread = orig_thread;
+  m.op_id = OpTracker::kImmediate;
+  m.traced = traced;
+  m.keys.push_back(k);
+  m.vals = std::move(push_vals);
+  const int64_t op_word = Coalescer::OpWord(op, traced);
+  const int64_t word = Coalescer::EntryWord(1, is_push);
+  Coalescer::WriteAux(&op_word, 1, &word, 1, &m.aux);
+  return m;
 }
 
 }  // namespace
@@ -70,9 +89,7 @@ void Server::Run() {
   }
 }
 
-void Server::RecordHop(const Message& msg) {
-  const uint64_t uid =
-      obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id);
+void Server::RecordHop(uint64_t uid, const Message& msg) {
   trace_ring_->TryPush(obs::TraceEvent::Dur(
       uid, obs::Phase::kQueue, NowNanos() - msg.deliver_ns, ctx_->node));
   trace_ring_->TryPush(obs::TraceEvent::Dur(
@@ -84,26 +101,16 @@ void Server::Handle(Message& msg) {
       NowNanos() - msg.deliver_ns);
   if (msg.traced && trace_ring_ != nullptr &&
       msg.op_id != OpTracker::kImmediate) {
-    RecordHop(msg);
+    RecordHop(obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id), msg);
   }
   LAPSE_CHECK_LE(msg.hops, 4 * network_->num_nodes())
       << "routing loop: " << msg.DebugString();
   switch (msg.type) {
-    case MsgType::kPull:
-    case MsgType::kPush:
-      HandleOp(msg);
-      break;
     case MsgType::kBatchOp:
       HandleBatchOp(msg);
       break;
     case MsgType::kBatchResp:
       HandleBatchResp(msg);
-      break;
-    case MsgType::kPullResp:
-      HandlePullResp(msg);
-      break;
-    case MsgType::kPushAck:
-      HandlePushAck(msg);
       break;
     case MsgType::kLocalize:
       HandleLocalize(msg);
@@ -157,188 +164,101 @@ NodeId Server::RouteDst(Key k) const {
   return 0;
 }
 
-void Server::ServeOwnedKey(const Message& msg, size_t /*key_index*/, Key k,
-                           const Val* push_vals,
-                           std::vector<Key>* reply_keys,
-                           std::vector<Val>* reply_vals) {
-  const size_t len = ctx_->layout->Length(k);
-  Val* slot = ctx_->store->GetOrCreate(k);
-  if (msg.type == MsgType::kPull) {
-    reply_keys->push_back(k);
-    reply_vals->insert(reply_vals->end(), slot, slot + len);
-  } else {
-    AddTo(slot, push_vals, len);
-    reply_keys->push_back(k);
-  }
-}
-
-void Server::HandleOp(Message& msg) {
-  const bool is_pull = (msg.type == MsgType::kPull);
-  std::vector<Key> reply_keys = BufferPool::GetKeys();
-  std::vector<Val> reply_vals = BufferPool::GetVals();
-  // Forwards grouped by destination (message grouping, Section 3.7) in the
-  // flat node-indexed scratch.
-  groups_.Begin();
-
-  const Val* vals = msg.val_data();
-  size_t val_off = 0;
-  for (size_t i = 0; i < msg.keys.size(); ++i) {
-    const Key k = msg.keys[i];
-    const size_t len = is_pull ? 0 : ctx_->layout->Length(k);
-    const Val* push_vals = is_pull ? nullptr : vals + val_off;
-    val_off += len;
-
-    LatchGuard latch(ctx_->latches->ForKey(k));
-    const KeyState state = ctx_->StateOf(k);
-    if (state == KeyState::kOwned) {
-      ServeOwnedKey(msg, i, k, push_vals, &reply_keys, &reply_vals);
-      continue;
-    }
-    if (state != KeyState::kArriving) {
-      if (ctx_->config->strategy == LocationStrategy::kBroadcastOps) {
-        continue;  // some other node owns this key and will answer
-      }
-      const NodeId dst = RouteDst(k);
-      if (dst != ctx_->node) {
-        groups_.AddKey(dst, k);
-        if (!is_pull) groups_.AddVals(dst, push_vals, len);
-        continue;
-      }
-      // Mid-relocation race: our owner view already points at this node but
-      // the transfer has not landed (state is not yet kArriving when the
-      // localize came from one of our own workers whose marking raced us, or
-      // the owner view was updated by HandleLocalize before the transfer).
-      // Forwarding would self-send and ping-pong; queue on the arrival
-      // queue instead -- the transfer that made the view point here will
-      // drain it.
-    }
-    // Queue a single-key copy until the relocation finishes (§3.2).
-    Message d = SingleKeyCopy(msg, k);
-    if (!is_pull) d.vals.assign(push_vals, push_vals + len);
-    ctx_->QueueDeferred(k, std::move(d));
-  }
-
-  // op_id == kImmediate marks a fire-and-forget push (replica fold drains
-  // forwarded by a server): nobody tracks it, so no ack is owed.
-  if (!reply_keys.empty() && msg.op_id != OpTracker::kImmediate) {
-    SendReply(msg, is_pull ? MsgType::kPullResp : MsgType::kPushAck,
-              std::move(reply_keys), std::move(reply_vals));
-  } else {
-    BufferPool::PutKeys(std::move(reply_keys));
-    BufferPool::PutVals(std::move(reply_vals));
-  }
-  for (const NodeId dst : groups_.touched()) {
-    Message f;
-    f.type = msg.type;
-    f.dst_node = dst;
-    f.orig_node = msg.orig_node;
-    f.orig_thread = msg.orig_thread;
-    f.op_id = msg.op_id;
-    f.hops = msg.hops + 1;
-    f.traced = msg.traced;
-    f.keys = groups_.TakeKeys(dst);
-    f.vals = groups_.TakeVals(dst);
-    endpoint_->Send(std::move(f));
-  }
-}
-
-void Server::HandleBatchOp(Message& msg) {
+size_t Server::OpenEnvelope(const Message& msg) {
   LAPSE_CHECK(!msg.aux.empty());
   const size_t n_ops = static_cast<size_t>(msg.aux[0]);
   LAPSE_CHECK_EQ(msg.aux.size(), 1 + n_ops + msg.keys.size());
-
-  batch_op_ids_.clear();
-  batch_op_traced_.clear();
-  for (size_t s = 0; s < n_ops; ++s) {
-    const int64_t word = msg.aux[1 + s];
-    batch_op_ids_.push_back(
-        static_cast<uint64_t>(word & ~Coalescer::kTracedOpBit));
-    batch_op_traced_.push_back((word & Coalescer::kTracedOpBit) != 0);
-  }
-
   // The envelope's op_id is kImmediate, so Handle()'s generic hop recording
   // skipped it; the hop belongs to every traced sub-op instead.
   if (msg.traced && trace_ring_ != nullptr) {
-    const int64_t queue_ns = NowNanos() - msg.deliver_ns;
-    const int64_t net_ns = msg.deliver_ns - msg.send_ns;
     for (size_t s = 0; s < n_ops; ++s) {
-      if (!batch_op_traced_[s]) continue;
-      const uint64_t uid =
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-      trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kQueue,
-                                                queue_ns, ctx_->node));
-      trace_ring_->TryPush(
-          obs::TraceEvent::Dur(uid, obs::Phase::kNet, net_ns, ctx_->node));
+      const int64_t word = msg.aux[1 + s];
+      if (!Coalescer::IsTraced(word)) continue;
+      RecordHop(obs::PackUid(msg.orig_node, msg.orig_thread,
+                             Coalescer::OpOf(word)),
+                msg);
     }
   }
+  return n_ops;
+}
 
-  std::vector<Key> reply_keys = BufferPool::GetKeys();
-  std::vector<Val> reply_vals = BufferPool::GetVals();
-  batch_reply_words_.clear();
-
-  const Val* vals = msg.val_data();
+void Server::HandleBatchOp(Message& msg) {
+  const size_t n_ops = OpenEnvelope(msg);
+  groups_.Begin();
   size_t val_off = 0;
   for (size_t i = 0; i < msg.keys.size(); ++i) {
     const Key k = msg.keys[i];
     const int64_t word = msg.aux[1 + n_ops + i];
-    const bool is_push = (word & 1) != 0;
-    const uint64_t mask = static_cast<uint64_t>(word) >> 1;
-    const size_t len = is_push ? ctx_->layout->Length(k) : 0;
-    const Val* push_vals = is_push ? vals + val_off : nullptr;
-    val_off += len;
-
+    const Val* push_vals = nullptr;
+    if ((word & 1) != 0) {
+      push_vals = msg.vals.data() + val_off;
+      val_off += ctx_->layout->Length(k);
+    }
     LatchGuard latch(ctx_->latches->ForKey(k));
-    const KeyState state = ctx_->StateOf(k);
-    if (state == KeyState::kOwned) {
-      const size_t klen = ctx_->layout->Length(k);
-      Val* slot = ctx_->store->GetOrCreate(k);
-      if (is_push) {
-        AddTo(slot, push_vals, klen);
-      } else {
-        reply_vals.insert(reply_vals.end(), slot, slot + klen);
-      }
-      reply_keys.push_back(k);
-      batch_reply_words_.push_back(word);
-      continue;
-    }
-    // The key is mid-relocation or our ownership view is stale: the entry
-    // splits back into per-sub-op single-key ops that travel the ordinary
-    // defer/forward/chase paths of HandleOp and get acked individually.
-    // (Pushes reference exactly one sub-op -- the coalescer never merges
-    // them -- so a payload is never duplicated here.)
-    NodeId fwd_dst = -1;
-    if (state != KeyState::kArriving) {
-      const NodeId dst = RouteDst(k);
-      if (dst != ctx_->node) fwd_dst = dst;
-      // dst == self is HandleOp's mid-relocation race: queue, the transfer
-      // that made the view point here drains it.
-    }
-    for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
-      const size_t s = static_cast<size_t>(__builtin_ctzll(mrem));
-      Message d;
-      d.type = is_push ? MsgType::kPush : MsgType::kPull;
-      d.orig_node = msg.orig_node;
-      d.orig_thread = msg.orig_thread;
-      d.op_id = batch_op_ids_[s];
-      d.traced = batch_op_traced_[s];
-      d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
-      d.keys.push_back(k);
-      if (is_push) d.vals.assign(push_vals, push_vals + len);
-      if (fwd_dst >= 0) {
-        d.dst_node = fwd_dst;
-        d.hops = msg.hops + 1;
-        endpoint_->Send(std::move(d));
-      } else {
-        d.hops = msg.hops;
-        ctx_->QueueDeferred(k, std::move(d));
-      }
-    }
+    RouteEntry(msg, n_ops, k, word, push_vals);
   }
+  FinishEnvelope(msg, n_ops);
+}
 
-  if (!reply_keys.empty()) {
-    // One response per batch, echoing the op table plus the served subset
-    // of entries. Sub-ops whose keys all split off get completed by the
-    // single-key acks instead (CompleteKeys with count 0 is a no-op).
+void Server::RouteEntry(const Message& msg, size_t n_ops, Key k,
+                        int64_t word, const Val* push_vals) {
+  const size_t len = ctx_->layout->Length(k);
+  const KeyState state = ctx_->StateOf(k);
+  if (state == KeyState::kOwned) {
+    Val* slot = ctx_->store->GetOrCreate(k);
+    if (push_vals != nullptr) {
+      AddTo(slot, push_vals, len);
+    } else {
+      reply_vals_.insert(reply_vals_.end(), slot, slot + len);
+    }
+    reply_keys_.push_back(k);
+    reply_words_.push_back(word);
+    return;
+  }
+  if (state != KeyState::kArriving) {
+    if (ctx_->config->strategy == LocationStrategy::kBroadcastOps) {
+      return;  // some other node owns this key and will answer
+    }
+    const NodeId dst = RouteDst(k);
+    if (dst != ctx_->node) {
+      // Forwards grouped by destination (message grouping, Section 3.7).
+      groups_.AddKey(dst, k);
+      groups_.AddWord(dst, word);
+      if (push_vals != nullptr) groups_.AddVals(dst, push_vals, len);
+      return;
+    }
+    // Mid-relocation race: our owner view already points at this node but
+    // the transfer has not landed (state is not yet kArriving when the
+    // localize came from one of our own workers whose marking raced us, or
+    // the owner view was updated by HandleLocalize before the transfer).
+    // Forwarding would self-send and ping-pong; queue on the arrival
+    // queue instead -- the transfer that made the view point here will
+    // drain it.
+  }
+  // Queue the entry as a one-entry envelope until the relocation finishes
+  // (§3.2).
+  Message d;
+  d.type = MsgType::kBatchOp;
+  d.orig_node = msg.orig_node;
+  d.orig_thread = msg.orig_thread;
+  d.op_id = OpTracker::kImmediate;
+  d.hops = msg.hops;
+  d.traced = msg.traced;
+  d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
+  d.keys.push_back(k);
+  if (push_vals != nullptr) d.vals.assign(push_vals, push_vals + len);
+  Coalescer::WriteAux(msg.aux.data() + 1, n_ops, &word, 1, &d.aux);
+  ctx_->QueueDeferred(k, std::move(d));
+}
+
+void Server::FinishEnvelope(const Message& msg, size_t n_ops) {
+  const int64_t* ops = msg.aux.data() + 1;
+  // A fire-and-forget push (a server's fold-forward, op kImmediate) is owed
+  // no reply.
+  const bool reply_owed =
+      !(n_ops == 1 && Coalescer::OpOf(ops[0]) == OpTracker::kImmediate);
+  if (!reply_keys_.empty() && reply_owed) {
+    // One response per envelope, carrying the served entries.
     Message r;
     r.type = MsgType::kBatchResp;
     r.dst_node = msg.orig_node;
@@ -346,116 +266,96 @@ void Server::HandleBatchOp(Message& msg) {
     r.orig_thread = msg.orig_thread;
     r.op_id = OpTracker::kImmediate;
     r.traced = msg.traced;
-    r.keys = std::move(reply_keys);
-    r.vals = std::move(reply_vals);
-    r.aux.reserve(1 + n_ops + batch_reply_words_.size());
-    r.aux.push_back(static_cast<int64_t>(n_ops));
-    r.aux.insert(r.aux.end(), msg.aux.begin() + 1,
-                 msg.aux.begin() + 1 + static_cast<ptrdiff_t>(n_ops));
-    r.aux.insert(r.aux.end(), batch_reply_words_.begin(),
-                 batch_reply_words_.end());
+    Coalescer::WriteAux(ops, n_ops, reply_words_.data(), reply_words_.size(),
+                        &r.aux);
+    r.keys = std::exchange(reply_keys_, BufferPool::GetKeys());
+    r.vals = std::exchange(reply_vals_, BufferPool::GetVals());
     endpoint_->Send(std::move(r));
-  } else {
-    BufferPool::PutKeys(std::move(reply_keys));
-    BufferPool::PutVals(std::move(reply_vals));
+  }
+  reply_keys_.clear();
+  reply_vals_.clear();
+  reply_words_.clear();
+  // One sub-envelope per destination for the entries whose key lives
+  // elsewhere; each sub-op is completed by the replies of every envelope
+  // it has entries in.
+  for (const NodeId dst : groups_.touched()) {
+    Message f;
+    f.type = MsgType::kBatchOp;
+    f.dst_node = dst;
+    f.orig_node = msg.orig_node;
+    f.orig_thread = msg.orig_thread;
+    f.op_id = OpTracker::kImmediate;
+    f.hops = msg.hops + 1;
+    f.traced = msg.traced;
+    const std::vector<int64_t>& words = groups_.WordsOf(dst);
+    Coalescer::WriteAux(ops, n_ops, words.data(), words.size(), &f.aux);
+    f.keys = groups_.TakeKeys(dst);
+    f.vals = groups_.TakeVals(dst);
+    endpoint_->Send(std::move(f));
   }
 }
 
 void Server::HandleBatchResp(const Message& msg) {
-  LAPSE_CHECK(!msg.aux.empty());
-  const size_t n_ops = static_cast<size_t>(msg.aux[0]);
-  LAPSE_CHECK_EQ(msg.aux.size(), 1 + n_ops + msg.keys.size());
+  const size_t n_ops = OpenEnvelope(msg);
+  const int64_t* ops = msg.aux.data() + 1;
   OpTracker& tracker = ctx_->TrackerFor(msg.orig_thread);
-
-  batch_op_ids_.clear();
-  batch_op_traced_.clear();
   batch_counts_.assign(n_ops, 0);
-  for (size_t s = 0; s < n_ops; ++s) {
-    const int64_t word = msg.aux[1 + s];
-    batch_op_ids_.push_back(
-        static_cast<uint64_t>(word & ~Coalescer::kTracedOpBit));
-    batch_op_traced_.push_back((word & Coalescer::kTracedOpBit) != 0);
-  }
-
-  if (msg.traced && trace_ring_ != nullptr) {
-    const int64_t queue_ns = NowNanos() - msg.deliver_ns;
-    const int64_t net_ns = msg.deliver_ns - msg.send_ns;
-    for (size_t s = 0; s < n_ops; ++s) {
-      if (!batch_op_traced_[s]) continue;
-      const uint64_t uid =
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-      trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kQueue,
-                                                queue_ns, ctx_->node));
-      trace_ring_->TryPush(
-          obs::TraceEvent::Dur(uid, obs::Phase::kNet, net_ns, ctx_->node));
-    }
-  }
 
   // Phase A: scatter values/acks per entry, counting completed keys per
   // sub-op. No sub-op is completed yet, so tracker slots stay valid (an op
   // retires only once all its keys -- including the ones counted here --
   // have been completed in phase B).
-  const Val* vals = msg.val_data();
   size_t val_off = 0;
   for (size_t i = 0; i < msg.keys.size(); ++i) {
     const Key k = msg.keys[i];
     const int64_t word = msg.aux[1 + n_ops + i];
-    const bool is_push = (word & 1) != 0;
     const uint64_t mask = static_cast<uint64_t>(word) >> 1;
+    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
 
-    if (is_push) {
-      if (ctx_->replicas && !ctx_->replicas->aggregates_writes()) {
-        ctx_->replicas->NoteWriteAcked(k);
-      }
+    if ((word & 1) != 0) {
       for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
         ++batch_counts_[static_cast<size_t>(__builtin_ctzll(mrem))];
       }
-      if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
       continue;
     }
 
     const size_t len = ctx_->layout->Length(k);
-    const bool install = ctx_->replicas && ctx_->replicas->IsPinned(k);
-    int64_t min_issue = 0;
+    const Val* value = msg.vals.data() + val_off;
+    val_off += len;
     uint64_t refresh_uid = 0;
     for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
       const size_t s = static_cast<size_t>(__builtin_ctzll(mrem));
       // Same-key fan-out: every referencing sub-op gets its own copy of
       // the single response entry.
-      Val* dst = tracker.PullDst(batch_op_ids_[s], k);
+      Val* dst = tracker.PullDst(Coalescer::OpOf(ops[s]), k);
       LAPSE_CHECK(dst != nullptr);
-      std::memcpy(dst, vals + val_off, len * sizeof(Val));
+      std::memcpy(dst, value, len * sizeof(Val));
       ++batch_counts_[s];
-      if (install) {
-        // Conservative write-epoch stamp: the earliest referencing
-        // sub-op's issue time (see HandlePullResp).
-        const int64_t issue = tracker.IssueNs(batch_op_ids_[s]);
-        if (min_issue == 0 || issue < min_issue) min_issue = issue;
-        if (refresh_uid == 0 && batch_op_traced_[s]) {
-          refresh_uid =
-              obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-        }
+      if (refresh_uid == 0 && Coalescer::IsTraced(ops[s])) {
+        refresh_uid = obs::PackUid(msg.orig_node, msg.orig_thread,
+                                   Coalescer::OpOf(ops[s]));
       }
     }
-    if (install) {
-      ctx_->replicas->Install(k, vals + val_off, min_issue);
+    // Pull-through refresh: a returning owner value is exactly the fresh
+    // copy a pinned replica needs -- install it so subsequent reads within
+    // the staleness bound stay local.
+    if (ctx_->replicas && ctx_->replicas->IsPinned(k)) {
+      ctx_->replicas->Install(k, value);
       if (refresh_uid != 0 && trace_ring_ != nullptr) {
         trace_ring_->TryPush(obs::TraceEvent::Mark(
             refresh_uid, obs::Phase::kReplicaRefresh, ctx_->node));
       }
     }
-    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
-    val_off += len;
   }
 
   // Phase B: complete each sub-op's served keys in one tracker transaction.
-  const int64_t now = NowNanos();
   for (size_t s = 0; s < n_ops; ++s) {
-    if (tracker.CompleteKeys(batch_op_ids_[s], batch_counts_[s]) &&
-        batch_op_traced_[s] && trace_ring_ != nullptr) {
+    const uint64_t op = Coalescer::OpOf(ops[s]);
+    if (tracker.CompleteKeys(op, batch_counts_[s]) &&
+        Coalescer::IsTraced(ops[s]) && trace_ring_ != nullptr) {
       trace_ring_->TryPush(obs::TraceEvent::Complete(
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]),
-          now, ctx_->node));
+          obs::PackUid(msg.orig_node, msg.orig_thread, op), NowNanos(),
+          ctx_->node));
     }
   }
 }
@@ -702,10 +602,10 @@ void Server::DrainArrived(Key k) {
     if (std::holds_alternative<DeferredLocalOp>(item)) {
       DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
       Val* slot = ctx_->store->GetOrCreate(k);
-      if (op.type == MsgType::kPull) {
-        std::memcpy(op.pull_dst, slot, len * sizeof(Val));
-      } else {
+      if (op.is_push) {
         AddTo(slot, op.push_update.data(), len);
+      } else {
+        std::memcpy(op.pull_dst, slot, len * sizeof(Val));
       }
       const bool done =
           ctx_->TrackerFor(op.worker_thread).CompleteKeys(op.op_id, 1);
@@ -723,27 +623,27 @@ void Server::DrainArrived(Key k) {
       continue;
     }
     Message& m = std::get<Message>(item);
-    if (m.type == MsgType::kPull || m.type == MsgType::kPush) {
-      if (m.traced && trace_ring_ != nullptr &&
-          m.op_id != OpTracker::kImmediate) {
-        // How long the forwarded op sat behind the relocation (measured
+    if (m.type == MsgType::kBatchOp) {
+      // A deferred envelope entry: the key is owned now, so RouteEntry
+      // serves it.
+      const size_t n_ops = static_cast<size_t>(m.aux[0]);
+      if (m.traced && trace_ring_ != nullptr) {
+        // How long the entry's sub-ops sat behind the relocation (measured
         // from its delivery here; completion is recorded at its origin).
-        trace_ring_->TryPush(obs::TraceEvent::Dur(
-            obs::PackUid(m.orig_node, m.orig_thread, m.op_id),
-            obs::Phase::kRelocStall, NowNanos() - m.deliver_ns, ctx_->node));
+        const int64_t stall = NowNanos() - m.deliver_ns;
+        for (size_t s = 0; s < n_ops; ++s) {
+          const int64_t op = m.aux[1 + s];
+          if (!Coalescer::IsTraced(op)) continue;
+          trace_ring_->TryPush(obs::TraceEvent::Dur(
+              obs::PackUid(m.orig_node, m.orig_thread, Coalescer::OpOf(op)),
+              obs::Phase::kRelocStall, stall, ctx_->node));
+        }
       }
-      std::vector<Key> reply_keys = BufferPool::GetKeys();
-      std::vector<Val> reply_vals = BufferPool::GetVals();
-      ServeOwnedKey(m, 0, k, m.val_data(), &reply_keys, &reply_vals);
-      if (m.op_id != OpTracker::kImmediate) {
-        SendReply(m, m.type == MsgType::kPull ? MsgType::kPullResp
-                                              : MsgType::kPushAck,
-                  std::move(reply_keys), std::move(reply_vals));
-      } else {
-        // Fire-and-forget fold drain: applied, no ack owed.
-        BufferPool::PutKeys(std::move(reply_keys));
-        BufferPool::PutVals(std::move(reply_vals));
-      }
+      const int64_t word = m.aux[1 + n_ops];
+      groups_.Begin();
+      RouteEntry(m, n_ops, k, word,
+                 (word & 1) != 0 ? m.vals.data() : nullptr);
+      FinishEnvelope(m, n_ops);
       continue;
     }
     // A deferred hand-over (instruct, or direct localize under
@@ -781,7 +681,7 @@ void Server::ForwardDeferred(Key k, Deferred item) {
   const NodeId dst = RouteDst(k);
   if (dst == ctx_->node) {
     // The owner view points back at this node: another transfer to us is in
-    // flight (see HandleOp's mid-relocation case). Keep the item queued
+    // flight (see RouteEntry's mid-relocation case). Keep the item queued
     // locally; that transfer's DrainArrived will pick it up.
     ctx_->QueueDeferred(k, std::move(item));
     return;
@@ -789,72 +689,14 @@ void Server::ForwardDeferred(Key k, Deferred item) {
   Message m;
   if (std::holds_alternative<DeferredLocalOp>(item)) {
     DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
-    m.type = op.type;
-    m.orig_node = ctx_->node;
-    m.orig_thread = op.worker_thread;
-    m.op_id = op.op_id;
-    m.traced = op.traced;
-    m.keys.push_back(k);
-    if (op.type == MsgType::kPush) m.vals = std::move(op.push_update);
+    m = OneOpEnvelope(ctx_->node, op.worker_thread, op.op_id, op.traced, k,
+                      op.is_push, std::move(op.push_update));
   } else {
     m = std::move(std::get<Message>(item));
     m.hops += 1;
   }
   m.dst_node = dst;
   endpoint_->Send(std::move(m));
-}
-
-void Server::HandlePullResp(const Message& msg) {
-  OpTracker& tracker = ctx_->TrackerFor(msg.orig_thread);
-  // When this pull was issued, for the write-epoch check below: a snapshot
-  // requested before a local write settled must not overwrite the fold.
-  // Read before CompleteKeys -- the op cannot retire (and recycle its slot)
-  // until its own CompleteKeys call at the bottom.
-  const int64_t issue_ns = tracker.IssueNs(msg.op_id);
-  size_t val_off = 0;
-  for (const Key k : msg.keys) {
-    const size_t len = ctx_->layout->Length(k);
-    Val* dst = tracker.PullDst(msg.op_id, k);
-    LAPSE_CHECK(dst != nullptr);
-    std::memcpy(dst, msg.vals.data() + val_off, len * sizeof(Val));
-    // Pull-through refresh: a returning owner value is exactly the fresh
-    // copy a pinned replica needs -- install it so subsequent reads within
-    // the staleness bound stay local.
-    if (ctx_->replicas && ctx_->replicas->IsPinned(k)) {
-      ctx_->replicas->Install(k, msg.vals.data() + val_off, issue_ns);
-      if (msg.traced && trace_ring_ != nullptr) {
-        trace_ring_->TryPush(obs::TraceEvent::Mark(
-            obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id),
-            obs::Phase::kReplicaRefresh, ctx_->node));
-      }
-    }
-    val_off += len;
-    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
-  }
-  if (tracker.CompleteKeys(msg.op_id, msg.keys.size()) && msg.traced &&
-      trace_ring_ != nullptr) {
-    trace_ring_->TryPush(obs::TraceEvent::Complete(
-        obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id), NowNanos(),
-        ctx_->node));
-  }
-}
-
-void Server::HandlePushAck(const Message& msg) {
-  if (ctx_->cache) {
-    for (const Key k : msg.keys) ctx_->cache->Update(k, msg.src_node);
-  }
-  // Write-through mode: the acked push has reached the owner, so replica
-  // refreshes issued from now on reflect it. Close the write epoch.
-  if (ctx_->replicas && !ctx_->replicas->aggregates_writes()) {
-    for (const Key k : msg.keys) ctx_->replicas->NoteWriteAcked(k);
-  }
-  if (ctx_->TrackerFor(msg.orig_thread)
-          .CompleteKeys(msg.op_id, msg.keys.size()) &&
-      msg.traced && trace_ring_ != nullptr) {
-    trace_ring_->TryPush(obs::TraceEvent::Complete(
-        obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id), NowNanos(),
-        ctx_->node));
-  }
 }
 
 void Server::HandleLocalizeNoop(const Message& msg) {
@@ -923,17 +765,15 @@ void Server::ForwardReplicaFolds(Key k) {
   const size_t len = ctx_->layout->Length(k);
   if (fold_buf_.size() < len) fold_buf_.resize(len);
   if (!ctx_->replicas->DrainKey(k, fold_buf_.data())) return;
-  Message m;
-  m.type = MsgType::kPush;
+  // Sub-op kImmediate: a fire-and-forget push, no reply owed.
+  Message m = OneOpEnvelope(
+      ctx_->node, /*orig_thread=*/0, OpTracker::kImmediate, /*traced=*/false,
+      k, /*is_push=*/true,
+      std::vector<Val>(fold_buf_.begin(), fold_buf_.begin() + len));
   // RouteDst may name this node itself (the invalidation raced our own
-  // localize); the self-send delivers through the inbox and HandleOp
+  // localize); the self-send delivers through the inbox and HandleBatchOp
   // applies or defers it like any other push.
   m.dst_node = RouteDst(k);
-  m.orig_node = ctx_->node;
-  m.orig_thread = 0;
-  m.op_id = OpTracker::kImmediate;  // fire-and-forget: no ack owed
-  m.keys.push_back(k);
-  m.vals.assign(fold_buf_.begin(), fold_buf_.begin() + len);
   endpoint_->Send(std::move(m));
 }
 
@@ -958,20 +798,6 @@ void Server::InvalidateReplicaHolders(Key k) {
     m.keys.push_back(k);
     endpoint_->Send(std::move(m));
   }
-}
-
-void Server::SendReply(const Message& request, MsgType type,
-                       std::vector<Key> keys, std::vector<Val> vals) {
-  Message r;
-  r.type = type;
-  r.dst_node = request.orig_node;
-  r.orig_node = request.orig_node;
-  r.orig_thread = request.orig_thread;
-  r.op_id = request.op_id;
-  r.traced = request.traced;
-  r.keys = std::move(keys);
-  r.vals = std::move(vals);
-  endpoint_->Send(std::move(r));
 }
 
 }  // namespace ps

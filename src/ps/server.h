@@ -41,20 +41,28 @@ class Server {
   // replies; whatever remains is recycled by the caller.
   void Handle(net::Message& msg);
 
-  // kPull / kPush for keys possibly owned here; splits into
-  // process-here / queue-arriving / forward-elsewhere per key.
-  void HandleOp(net::Message& msg);
-
-  // kBatchOp: a worker coalescer's multi-op batch (ps::Coalescer wire
-  // format). Owned keys are served in entry order and acked through one
-  // kBatchResp; entries caught mid-relocation split into the single-key
-  // defer/forward paths of HandleOp, carrying their sub-op's own op id, so
-  // the existing chase machinery completes them individually.
+  // kBatchOp, the one keyed-op wire format (ps::Coalescer layout): each
+  // entry is served if its key is owned here, queued while the key is
+  // arriving, and otherwise forwarded inside one sub-envelope per
+  // destination. Served entries are answered by one kBatchResp.
   void HandleBatchOp(net::Message& msg);
   // kBatchResp at the origin node: scatter served pull values into each
   // referencing sub-op's buffer (same-key pulls fan out from one entry),
   // refresh replicas/caches, and complete each sub-op in the tracker.
   void HandleBatchResp(const net::Message& msg);
+
+  // Checks an envelope's layout, records its hop for every traced sub-op,
+  // and returns its number of sub-ops.
+  size_t OpenEnvelope(const net::Message& msg);
+  // Serves, defers or forwards one entry of envelope `msg` (caller holds
+  // k's latch): served entries accumulate in reply_*_, forwards in groups_
+  // (begun by the caller), and a deferral queues a one-entry envelope on
+  // k's arrival queue.
+  void RouteEntry(const net::Message& msg, size_t n_ops, Key k,
+                  int64_t word, const Val* push_vals);
+  // Sends the reply for the entries RouteEntry served and one
+  // sub-envelope per forward destination.
+  void FinishEnvelope(const net::Message& msg, size_t n_ops);
 
   // Home-node side of localize (message 1 -> message 2). Under the
   // broadcast-relocations strategy this arrives directly at the believed
@@ -68,10 +76,7 @@ class Server {
   // queued operations in order.
   void HandleTransfer(net::Message& msg);
 
-  // Response handling: scatter pulled values / acks into worker trackers,
-  // refresh the location cache.
-  void HandlePullResp(const net::Message& msg);
-  void HandlePushAck(const net::Message& msg);
+  // Completes a localize op whose keys the requester already owned.
   void HandleLocalizeNoop(const net::Message& msg);
   void HandleLocationUpdate(const net::Message& msg);
 
@@ -93,12 +98,6 @@ class Server {
   // the invalidate/flush race can never lose aggregated updates.
   void ForwardReplicaFolds(Key k);
 
-  // Applies a single-key pull/push for an owned key (caller holds the
-  // latch) and accumulates the reply.
-  void ServeOwnedKey(const net::Message& msg, size_t key_index, Key k,
-                     const Val* push_vals, std::vector<Key>* reply_keys,
-                     std::vector<Val>* reply_vals);
-
   // Removes `k` (caller holds the latch; state must be kOwned) and appends
   // its value to a transfer payload.
   void ExtractKey(Key k, std::vector<Key>* keys, std::vector<Val>* vals);
@@ -113,12 +112,10 @@ class Server {
   // Re-sends a deferred item over the network after the key moved away.
   void ForwardDeferred(Key k, Deferred item);
 
-  void SendReply(const net::Message& request, net::MsgType type,
-                 std::vector<Key> keys, std::vector<Val> vals);
-
-  // Records the queue-wait and wire-time phase events of one hop of a
-  // traced message (out of line; traced messages are rare by sampling).
-  void RecordHop(const net::Message& msg);
+  // Records the queue-wait and wire-time phase events of one hop of
+  // message `msg` for traced op `uid` (out of line; traced messages are
+  // rare by sampling).
+  void RecordHop(uint64_t uid, const net::Message& msg);
 
   NodeContext* ctx_;
   net::Network* network_;
@@ -130,20 +127,22 @@ class Server {
   std::unique_ptr<net::Endpoint> endpoint_;
 
   // Reusable per-message scratch (the server is single-threaded): flat
-  // destination-indexed grouping replacing std::map, and the batch buffer
-  // for Inbox::TakeBatch.
+  // destination-indexed grouping replacing std::map (forwarded envelope
+  // entries, localize instructs), and the batch buffer for
+  // Inbox::TakeBatch.
   DestGroups groups_;
   std::vector<net::Message> batch_;
   // Scratch for draining one key's replica write accumulator. Not
   // groups_: ForwardReplicaFolds runs inside handlers that are mid-use of
   // the grouping scratch (HandleLocalize).
   std::vector<Val> fold_buf_;
-  // Reusable scratch of the batch handlers (sub-op table decode, per-
-  // sub-op completion counts, reply entry words); cleared per message.
-  std::vector<uint64_t> batch_op_ids_;
-  std::vector<uint8_t> batch_op_traced_;
+  // The entries RouteEntry served for the envelope being handled (keys,
+  // pulled values, entry words), and HandleBatchResp's per-sub-op
+  // completion counts. Emptied per envelope.
+  std::vector<Key> reply_keys_;
+  std::vector<Val> reply_vals_;
+  std::vector<int64_t> reply_words_;
   std::vector<size_t> batch_counts_;
-  std::vector<int64_t> batch_reply_words_;
 
   // Which nodes hold a replica of each key homed here. Server-thread-only
   // (registrations and ownership moves both arrive on this thread), so no

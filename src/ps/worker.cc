@@ -23,9 +23,13 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
       endpoint_(network->CreateEndpoint(ctx->node, thread_slot)),
       tracker_(ctx->trackers[thread_slot].get()),
       stats_(&ctx->StatsFor(thread_slot)),
-      rng_(seed) {
+      rng_(seed),
+      coalescer_(ctx, endpoint_.get(), thread_slot,
+                 ctx->obs != nullptr ? ctx->obs->Ring(thread_slot)
+                                     : nullptr) {
   const Architecture arch = ctx_->config->arch;
   fast_local_ = (arch != Architecture::kClassic);
+  broadcast_ops_ = ctx_->config->strategy == LocationStrategy::kBroadcastOps;
   dpa_enabled_ =
       (arch == Architecture::kLapse &&
        (ctx_->config->strategy == LocationStrategy::kHomeNode ||
@@ -50,13 +54,6 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
   // One group slot per (destination node, server shard).
   scratch_.groups.Resize(static_cast<size_t>(ctx_->layout->num_nodes()) *
                          static_cast<size_t>(num_shards_));
-  // Broadcast-ops has no point-to-point destination to batch for; every
-  // other strategy routes remote ops through the coalescer when enabled.
-  if (ctx_->config->coalescing &&
-      ctx_->config->strategy != LocationStrategy::kBroadcastOps) {
-    coalescer_ = std::make_unique<Coalescer>(ctx_, endpoint_.get(), thread_,
-                                             trace_ring_);
-  }
 }
 
 Worker::~Worker() {
@@ -66,7 +63,7 @@ Worker::~Worker() {
   FlushReplicas();
   // Release any batch the coalescer still holds: its queued sub-ops can
   // never complete unsent, and WaitAll below waits on them.
-  if (coalescer_) coalescer_->DrainAll();
+  coalescer_.DrainAll();
   tracker_->WaitAll();
 }
 
@@ -142,7 +139,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   // so a worker gone local-only cannot strand a held batch past its delay.
   // The op's one clock reading: taken here only if a batch is held,
   // else on the slow path (the fast path needs none).
-  int64_t now = coalescer_ ? coalescer_->MaybeDrain() : 0;
+  int64_t now = coalescer_.MaybeDrain();
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/false);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -212,15 +209,11 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   const uint64_t op = tracker_->Create(dst, sc.key_offsets, now);
   const uint64_t trace_uid =
       traced ? TraceIssue(obs::OpKind::kPull, op, t_issue) : 0;
-  if (coalescer_) coalescer_->BeginOp(op, traced, now);
+  coalescer_.BeginOp(op, traced, now);
 
   size_t inline_done = 0;
   int64_t local_reads = static_cast<int64_t>(done) - replica_reads;
   int64_t remote_reads = 0, queued = 0;
-  sc.groups.Begin();
-  sc.broadcast_keys.clear();
-  const bool broadcast_ops =
-      ctx_->config->strategy == LocationStrategy::kBroadcastOps;
 
   for (size_t i = 0; i < sc.key_offsets.size(); ++i) {
     const Key k = sc.key_offsets[i].first;
@@ -237,7 +230,6 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
         handled = true;
       } else if (state == KeyState::kArriving && dpa_enabled_) {
         DeferredLocalOp d;
-        d.type = MsgType::kPull;
         d.key = k;
         d.pull_dst = dst + off;
         d.worker_thread = thread_;
@@ -264,12 +256,12 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
     if (handled) continue;
     ++remote_reads;
-    if (broadcast_ops) {
-      sc.broadcast_keys.push_back(k);
-    } else if (coalescer_) {
-      coalescer_->AddPull(GroupSlot(RemoteDst(k), k), k);
+    if (broadcast_ops_) {
+      for (NodeId n = 0; n < ctx_->layout->num_nodes(); ++n) {
+        if (n != ctx_->node) coalescer_.AddPull(GroupSlot(n, k), k);
+      }
     } else {
-      sc.groups.AddKey(GroupSlot(RemoteDst(k), k), k);
+      coalescer_.AddPull(GroupSlot(RemoteDst(k), k), k);
     }
   }
 
@@ -280,21 +272,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   stats_->remote_key_reads.AddSingleWriter(remote_reads);
   stats_->queued_local_ops.AddSingleWriter(queued);
 
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPull;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    endpoint_->Send(std::move(m));
-  }
-  if (!sc.broadcast_keys.empty()) {
-    BroadcastOp(MsgType::kPull, op, traced);
-  }
-  if (coalescer_) coalescer_->EndOp();
+  coalescer_.EndOp();
   if (after_send_hook_) after_send_hook_(op);
 
   const bool done_now = tracker_->CompleteKeys(op, inline_done);
@@ -305,7 +283,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
 uint64_t Worker::PushAsync(const std::vector<Key>& keys,
                            const Val* updates) {
   CheckDistinct(keys);
-  int64_t now = coalescer_ ? coalescer_->MaybeDrain() : 0;
+  int64_t now = coalescer_.MaybeDrain();
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/true);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -377,18 +355,13 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, now);
   const uint64_t trace_uid =
       traced ? TraceIssue(obs::OpKind::kPush, op, t_issue) : 0;
-  if (coalescer_) coalescer_->BeginOp(op, traced, now);
+  coalescer_.BeginOp(op, traced, now);
 
   size_t inline_done = 0;
   // The fast-path prefix mixes owned writes and replica folds; only the
   // former count as local.
   int64_t local_writes = static_cast<int64_t>(done) - replica_folds;
   int64_t remote_writes = 0, queued = 0;
-  sc.groups.Begin();
-  sc.broadcast_keys.clear();
-  sc.broadcast_vals.clear();
-  const bool broadcast_ops =
-      ctx_->config->strategy == LocationStrategy::kBroadcastOps;
 
   for (size_t i = 0; i < sc.key_offsets.size(); ++i) {
     const Key k = sc.key_offsets[i].first;
@@ -405,7 +378,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
         handled = true;
       } else if (state == KeyState::kArriving && dpa_enabled_) {
         DeferredLocalOp d;
-        d.type = MsgType::kPush;
+        d.is_push = true;
         d.key = k;
         d.push_update.assign(updates + off, updates + off + len);
         d.worker_thread = thread_;
@@ -428,26 +401,18 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
         ++inline_done;
         ++replica_folds;
         handled = true;
-      } else if (replicas_->IsPinned(k)) {
-        // Aggregation off -- write-through, local half: fold the update
-        // into the replica so this node's readers see it before the
-        // owner's ack. The authoritative update still goes to the owner
-        // below.
-        replicas_->Accumulate(k, updates + off);
       }
     }
     if (handled) continue;
     ++remote_writes;
-    if (broadcast_ops) {
-      sc.broadcast_keys.push_back(k);
-      sc.broadcast_vals.insert(sc.broadcast_vals.end(), updates + off,
-                               updates + off + len);
-    } else if (coalescer_) {
-      coalescer_->AddPush(GroupSlot(RemoteDst(k), k), k, updates + off, len);
+    if (broadcast_ops_) {
+      for (NodeId n = 0; n < ctx_->layout->num_nodes(); ++n) {
+        if (n != ctx_->node) {
+          coalescer_.AddPush(GroupSlot(n, k), k, updates + off, len);
+        }
+      }
     } else {
-      const NodeId slot = GroupSlot(RemoteDst(k), k);
-      sc.groups.AddKey(slot, k);
-      sc.groups.AddVals(slot, updates + off, len);
+      coalescer_.AddPush(GroupSlot(RemoteDst(k), k), k, updates + off, len);
     }
   }
 
@@ -458,29 +423,14 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
   }
   stats_->queued_local_ops.AddSingleWriter(queued);
 
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPush;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    m.vals = sc.groups.TakeVals(slot);
-    endpoint_->Send(std::move(m));
-  }
-  if (!sc.broadcast_keys.empty()) {
-    BroadcastOp(MsgType::kPush, op, traced);
-  }
-  if (coalescer_) coalescer_->EndOp();
+  coalescer_.EndOp();
   if (after_send_hook_) after_send_hook_(op);
 
   const bool done_now = tracker_->CompleteKeys(op, inline_done);
   if (traced) {
     TraceRest(trace_uid, t_issue, /*replica_misses=*/0, done_now);
   }
-  // After the op's own sends: FlushReplicas reuses the grouping scratch.
+  // After the op's own sends: FlushReplicas is an op of its own.
   if (flush_due) FlushReplicas();
   return op;
 }
@@ -490,7 +440,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   // A relocation must not overtake this worker's held pushes to the same
   // key (the moved key's value would miss them until the forward chase
   // lands); localize is rare, so a full drain is the simple fix.
-  if (coalescer_) coalescer_->DrainAll();
+  coalescer_.DrainAll();
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
 
@@ -673,31 +623,28 @@ size_t Worker::Replicate(const std::vector<Key>& keys) {
   return pinned;
 }
 
-uint64_t Worker::SendGroupedPushes() {
+uint64_t Worker::SendFolds() {
   Scratch& sc = scratch_;
   if (sc.key_offsets.empty()) return kImmediate;
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
-  // Drained folds travel as ordinary cumulative pushes, one coalesced
-  // message per destination, tracked like any push: the op completes when
-  // every owner acked, which is what makes WaitAll a flush barrier. A key
-  // localized here since its last fold routes through its home and comes
-  // straight back -- the relocation protocol already handles that.
-  const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  // Drained folds travel as ordinary cumulative pushes, one envelope per
+  // destination, tracked like any push: the op completes when every owner
+  // acked, which is what makes WaitAll a flush barrier. They never join a
+  // held batch, so the replica_flush_micros bound is not stretched by the
+  // coalescing delay. A key localized here since its last fold routes
+  // through its home and comes straight back -- the relocation protocol
+  // already handles that.
+  const int64_t now = NowNanos();
+  const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, now);
   const uint64_t trace_uid =
       traced ? TraceIssue(obs::OpKind::kFlush, op, t_issue) : 0;
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPush;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    m.vals = sc.groups.TakeVals(slot);
-    endpoint_->Send(std::move(m));
+  coalescer_.BeginOp(op, traced, now, /*may_hold=*/false);
+  for (const auto& [k, off] : sc.key_offsets) {
+    coalescer_.AddPush(GroupSlot(RemoteDst(k), k), k, sc.fold_vals.data() + off,
+                       ctx_->layout->Length(k));
   }
+  coalescer_.EndOp();
   if (traced) {
     TraceRest(trace_uid, t_issue, /*replica_misses=*/0, /*completed=*/false);
   }
@@ -721,20 +668,16 @@ void Worker::SendReplicaControl(MsgType type) {
 }
 
 uint64_t Worker::FlushReplicas() {
-  if (replicas_ == nullptr || !replicas_->aggregates_writes()) {
-    return kImmediate;
-  }
+  if (replicas_ == nullptr) return kImmediate;
   const KeyLayout& layout = *ctx_->layout;
   Scratch& sc = scratch_;
-  sc.groups.Begin();
   sc.key_offsets.clear();
+  sc.fold_vals.clear();
   replicas_->DrainDirty([&](Key k, const Val* acc) {
-    const NodeId slot = GroupSlot(RemoteDst(k), k);
-    sc.groups.AddKey(slot, k);
-    sc.groups.AddVals(slot, acc, layout.Length(k));
-    sc.key_offsets.emplace_back(k, size_t{0});
+    sc.key_offsets.emplace_back(k, sc.fold_vals.size());
+    sc.fold_vals.insert(sc.fold_vals.end(), acc, acc + layout.Length(k));
   });
-  return SendGroupedPushes();
+  return SendFolds();
 }
 
 size_t Worker::Unreplicate(const std::vector<Key>& keys) {
@@ -744,99 +687,31 @@ size_t Worker::Unreplicate(const std::vector<Key>& keys) {
   DedupKeysIntoScratch(keys);
 
   // Pass 1: atomically drain-and-unpin each key (one latch hold inside
-  // Unpin, so no fold can slip in between) and group the drained folds by
-  // destination. The unpinned set is remembered for the unregister pass.
-  sc.broadcast_keys.clear();
+  // Unpin, so no fold can slip in between) and collect the drained folds;
+  // the unpinned keys are grouped by home for the unregister pass.
   sc.groups.Begin();
   sc.key_offsets.clear();
+  sc.fold_vals.clear();
+  size_t unpinned = 0;
   for (const Key k : sc.localize_keys) {
-    const size_t len = layout.Length(k);
-    if (sc.broadcast_vals.size() < len) sc.broadcast_vals.resize(len);
     if (!replicas_->IsPinned(k)) continue;
-    if (replicas_->Unpin(k, sc.broadcast_vals.data())) {
-      const NodeId slot = GroupSlot(RemoteDst(k), k);
-      sc.groups.AddKey(slot, k);
-      sc.groups.AddVals(slot, sc.broadcast_vals.data(), len);
-      sc.key_offsets.emplace_back(k, size_t{0});
+    const size_t off = sc.fold_vals.size();
+    sc.fold_vals.resize(off + layout.Length(k));
+    if (replicas_->Unpin(k, sc.fold_vals.data() + off)) {
+      sc.key_offsets.emplace_back(k, off);
+    } else {
+      sc.fold_vals.resize(off);
     }
-    sc.broadcast_keys.push_back(k);
+    sc.groups.AddKey(GroupSlot(layout.Home(k), k), k);
+    ++unpinned;
   }
-  SendGroupedPushes();
+  SendFolds();
 
   // Pass 2: unregister at each key's home so the replica directory
   // shrinks and later ownership moves stop firing invalidations at this
   // node. Fire-and-forget, like the registration.
-  sc.groups.Begin();
-  for (const Key k : sc.broadcast_keys) {
-    sc.groups.AddKey(GroupSlot(layout.Home(k), k), k);
-  }
   SendReplicaControl(MsgType::kReplicaUnregister);
-  return sc.broadcast_keys.size();
-}
-
-void Worker::BroadcastOp(MsgType type, uint64_t op, bool traced) {
-  Scratch& sc = scratch_;
-  const NodeId num_nodes = ctx_->layout->num_nodes();
-  const bool is_push = (type == MsgType::kPush);
-  if (num_shards_ == 1) {
-    // One shared payload for all peers instead of n-1 full copies; moving
-    // the scratch buffer makes the broadcast path itself zero-copy.
-    std::shared_ptr<const std::vector<Val>> shared;
-    if (is_push) {
-      shared = std::make_shared<const std::vector<Val>>(
-          std::move(sc.broadcast_vals));
-    }
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (n == ctx_->node) continue;
-      Message m;
-      m.type = type;
-      m.dst_node = n;
-      m.orig_node = ctx_->node;
-      m.orig_thread = thread_;
-      m.op_id = op;
-      m.traced = traced;
-      m.keys = sc.broadcast_keys;
-      if (is_push) m.shared_vals = shared;
-      endpoint_->Send(std::move(m));
-    }
-    return;
-  }
-  // Sharded servers: split the broadcast per shard so each message stays
-  // shard-pure; each shard's payload is still shared across all peers.
-  const KeyLayout& layout = *ctx_->layout;
-  for (NodeId s = 0; s < num_shards_; ++s) {
-    std::vector<Key> shard_keys;
-    auto shard_vals = std::make_shared<std::vector<Val>>();
-    size_t off = 0;
-    for (const Key k : sc.broadcast_keys) {
-      const size_t len = is_push ? layout.Length(k) : 0;
-      if (layout.Shard(k) == s) {
-        shard_keys.push_back(k);
-        if (is_push) {
-          shard_vals->insert(shard_vals->end(),
-                             sc.broadcast_vals.begin() + off,
-                             sc.broadcast_vals.begin() + off + len);
-        }
-      }
-      off += len;
-    }
-    if (shard_keys.empty()) continue;
-    const std::shared_ptr<const std::vector<Val>> shared =
-        std::move(shard_vals);
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (n == ctx_->node) continue;
-      Message m;
-      m.type = type;
-      m.dst_node = n;
-      m.orig_node = ctx_->node;
-      m.orig_thread = thread_;
-      m.op_id = op;
-      m.traced = traced;
-      m.keys = shard_keys;
-      if (is_push) m.shared_vals = shared;
-      endpoint_->Send(std::move(m));
-    }
-  }
+  return unpinned;
 }
 
 bool Worker::PullIfLocal(Key k, Val* dst) {

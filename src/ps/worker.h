@@ -80,7 +80,8 @@ class Worker {
   // replica holder at each key's home (so ownership moves invalidate the
   // copy). From then on, pulls of the keys are served from node-local
   // memory whenever the copy is within the staleness bound, and pushes
-  // write through (local fold + forward to owner). Fire-and-forget, like
+  // fold into the node's write accumulator (see FlushReplicas).
+  // Fire-and-forget, like
   // Evict; duplicates and already-pinned keys are skipped. Returns the
   // number of keys newly pinned. No-op unless Config::replication is on.
   size_t Replicate(const std::vector<Key>& keys);
@@ -100,8 +101,8 @@ class Worker {
   size_t Unreplicate(const std::vector<Key>& keys);
 
   // Drains every dirty write accumulator of this node's replica store and
-  // sends the folds to the owners, coalesced into one cumulative-push
-  // message per destination node. Called automatically whenever a push
+  // sends the folds to the owners, one cumulative-push envelope per
+  // destination node. Called automatically whenever a push
   // trips a flush trigger (Config::replica_flush_micros /
   // replica_flush_max_folds) and on worker teardown; callable manually
   // for tighter phase boundaries. Tracked: returns an operation handle
@@ -115,15 +116,15 @@ class Worker {
   // already on the wire -- and kImmediate -- skip the drain, which is what
   // lets windowed async workloads actually accumulate batches.
   void Wait(uint64_t op) {
-    if (coalescer_) coalescer_->DrainIfQueued(op);
+    coalescer_.DrainIfQueued(op);
     tracker_->Wait(op);
   }
   void WaitAll() {
-    if (coalescer_) coalescer_->DrainAll();
+    coalescer_.DrainAll();
     tracker_->WaitAll();
   }
   bool IsDone(uint64_t op) {
-    if (coalescer_) coalescer_->DrainIfQueued(op);
+    coalescer_.DrainIfQueued(op);
     return tracker_->IsDone(op);
   }
 
@@ -187,17 +188,11 @@ class Worker {
   }
   NodeId GroupNode(NodeId slot) const { return slot / num_shards_; }
 
-  // Broadcast-ops fan-out of scratch_.broadcast_keys (and, for pushes,
-  // scratch_.broadcast_vals -- consumed) to every peer node, split per
-  // server shard so each message stays shard-pure. Each shard's push
-  // payload is shared across peers (zero-copy fan-out).
-  void BroadcastOp(net::MsgType type, uint64_t op, bool traced);
-
-  // Sends the grouped scratch (scratch_.groups + scratch_.key_offsets,
-  // filled by the caller) as tracked cumulative pushes, one message per
-  // destination. Returns the op handle (kImmediate when empty). Used by
-  // the replica flush paths.
-  uint64_t SendGroupedPushes();
+  // Sends drained replica folds (scratch_.key_offsets, each key's offset
+  // into scratch_.fold_vals, filled by the caller) as one tracked push op,
+  // one envelope per destination, sent at once. Returns the op handle
+  // (kImmediate when empty). Used by the replica flush paths.
+  uint64_t SendFolds();
 
   // Sends the grouped scratch keys to each touched node as a
   // fire-and-forget replica-directory control message
@@ -263,9 +258,8 @@ class Worker {
   // by one thread, so plain members suffice.
   struct Scratch {
     std::vector<std::pair<Key, size_t>> key_offsets;
-    DestGroups groups;  // destination-grouped send buffers
-    std::vector<Key> broadcast_keys;
-    std::vector<Val> broadcast_vals;
+    DestGroups groups;  // destination-grouped control-message keys
+    std::vector<Val> fold_vals;  // drained replica folds (SendFolds)
     std::vector<Key> localize_keys;  // deduped localize/evict request
   };
 
@@ -281,6 +275,7 @@ class Worker {
   Rng rng_;
   bool fast_local_;
   bool dpa_enabled_;
+  bool broadcast_ops_;  // ops fan out to every peer (Table 3)
   NodeId num_shards_;  // server shards per node (Config::server_threads)
   Val* dense_base_;  // non-null iff the node store is dense
   // The node's replica store (null unless config.replication): consulted
@@ -297,9 +292,10 @@ class Worker {
   uint32_t trace_period_ = 0;
   uint32_t trace_countdown_ = 0;
   uint64_t trace_inline_seq_ = 0;  // uid source for inline-completed ops
-  // Bounded-delay request coalescer (null unless Config::coalescing, which
-  // keeps the disabled cost at one branch per op).
-  std::unique_ptr<Coalescer> coalescer_;
+  // Builds and sends every keyed-op envelope of this worker, holding them
+  // for up to the coalescing delay when Config::coalescing is on. With
+  // nothing held it costs one branch per op.
+  Coalescer coalescer_;
   std::function<void(uint64_t)> after_send_hook_;  // test seam, see setter
 
   // Slot of key k for fast-path access; devirtualized for dense stores.

@@ -225,18 +225,129 @@ TEST(CoalescerTest, PullBeyondDedupWindowGetsOwnEntry) {
   EXPECT_EQ(system.node_stats(0).coalesce_batches.sum(), 4);
 }
 
-TEST(CoalescerTest, DisabledByDefaultSendsNoBatches) {
+TEST(CoalescerTest, OffSendsEachOpAsItsOwnEnvelope) {
+  // Coalescing off (the default) still uses the envelope format; it only
+  // stops envelopes from staying open: each uncoalesced pull leaves as an
+  // envelope of one sub-op before PullAsync returns.
   Config cfg = CoalescingConfig();
   cfg.coalescing = false;
   PsSystem system(cfg);
+  const auto& net = system.net_stats();
   system.Run([&](Worker& w) {
     if (w.node() != 0) return;
     std::vector<Val> buf(2);
-    for (int i = 0; i < 8; ++i) w.PullAsync({11}, buf.data());
+    for (int i = 0; i < 8; ++i) {
+      w.PullAsync({11}, buf.data());
+      EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchOp), i + 1);
+    }
     w.WaitAll();
   });
-  EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kBatchOp), 0);
+  // Each envelope: one key entry, and an aux of n_ops = 1, the op word
+  // and the entry word.
+  net::Message one_op;
+  one_op.keys = {11};
+  one_op.aux.resize(3);
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchOp), 8);
+  EXPECT_EQ(net.BytesOfType(net::MsgType::kBatchOp),
+            8 * static_cast<int64_t>(one_op.WireBytes()));
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchResp), 8);
   EXPECT_EQ(system.node_stats(0).coalesced_ops.count(), 0);
+  EXPECT_EQ(system.node_stats(0).coalesce_batches.count(), 0);
+}
+
+// ---- one op envelope: forwards and fire-and-forget pushes ---------------
+
+TEST(CoalescerTest, MovedKeysForwardAsOneEnvelopePerDestination) {
+  // 3 nodes, keys 10..19 homed at node 1. Keys 10 and 11 move to node 2;
+  // node 0 (no location cache) still sends their ops to the home. The
+  // home serves 12 and 13 and forwards every entry of 10 and 11 -- pulls,
+  // a same-key pull pair and a push -- to node 2 in one sub-envelope.
+  Config cfg = CoalescingConfig(/*max_ops=*/62);
+  cfg.num_nodes = 3;
+  cfg.num_keys = 30;
+  PsSystem system(cfg);
+  for (Key k = 10; k < 14; ++k) {
+    const std::vector<Val> v = {static_cast<Val>(k), -static_cast<Val>(k)};
+    system.SetValue(k, v.data());
+  }
+  system.Run([&](Worker& w) {
+    if (w.node() == 2) w.Localize({10, 11});
+  });
+  ASSERT_EQ(system.OwnerOf(10), 2);
+  ASSERT_EQ(system.OwnerOf(11), 2);
+
+  system.net_stats().Reset();
+  system.Run([&](Worker& w) {
+    if (w.node() != 0) return;
+    std::vector<Val> a(4, -1.0f), b(2, -1.0f), c(2, -1.0f), e(4, -1.0f);
+    const std::vector<Val> upd = {1.0f, 0.0f, 2.0f, 0.0f};
+    w.PullAsync({10, 12}, a.data());
+    w.PullAsync({10}, b.data());  // same-key pull: fans out with a's
+    w.PullAsync({11}, c.data());  // issued before the push: old value
+    w.PushAsync({11, 13}, upd.data());
+    w.PullAsync({11, 13}, e.data());  // issued after: sees the push
+    EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kBatchOp), 0);
+    w.WaitAll();
+    EXPECT_EQ(a, (std::vector<Val>{10.0f, -10.0f, 12.0f, -12.0f}));
+    EXPECT_EQ(b, (std::vector<Val>{10.0f, -10.0f}));
+    EXPECT_EQ(c, (std::vector<Val>{11.0f, -11.0f}));
+    EXPECT_EQ(e, (std::vector<Val>{12.0f, -11.0f, 15.0f, -13.0f}));
+  });
+  const auto& net = system.net_stats();
+  // Node 0 -> home, home -> node 2: one envelope each way, answered by one
+  // response from each server that served entries.
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchOp), 2);
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchResp), 2);
+  EXPECT_EQ(net.total_messages(), 4);
+  std::vector<Val> v(2);
+  system.GetValue(11, v.data());
+  EXPECT_EQ(v, (std::vector<Val>{12.0f, -11.0f}));
+  system.GetValue(13, v.data());
+  EXPECT_EQ(v, (std::vector<Val>{15.0f, -13.0f}));
+}
+
+TEST(CoalescerTest, FoldForwardIsFireAndForget) {
+  // Node 1 owns k; its home pins a replica of k with a pending fold. When
+  // node 2 takes k, the home's invalidation drains the fold into a fire-
+  // and-forget push envelope (sub-op kImmediate): applied, never answered.
+  Config cfg = CoalescingConfig();
+  cfg.num_nodes = 3;
+  cfg.num_keys = 30;
+  cfg.replication = true;
+  cfg.replica_staleness_micros = 60'000'000;
+  cfg.replica_flush_micros = 60'000'000;  // the fold stays pending until
+  cfg.replica_flush_max_folds = 1'000'000;  // the invalidation drains it
+  PsSystem system(cfg);
+  const Key k = 2;  // homed at node 0
+  int64_t ops_before = 0, resps_before = 0;
+  const auto& net = system.net_stats();
+
+  system.Run([&](Worker& w) {
+    if (w.node() == 1) w.Localize({k});
+    w.Barrier();
+    if (w.node() == 0) {
+      EXPECT_EQ(w.Replicate({k}), 1u);
+      const std::vector<Val> upd = {1.0f, 4.0f};
+      w.Push({k}, upd.data());  // folds: no message
+    }
+    w.Barrier();
+    if (w.node() == 0) {
+      ops_before = net.MessagesOfType(net::MsgType::kBatchOp);
+      resps_before = net.MessagesOfType(net::MsgType::kBatchResp);
+    }
+    w.Barrier();
+    // The home drains the fold while handling the localize, before the
+    // transfer that completes it, so no worker's teardown flush finds it.
+    if (w.node() == 2) w.Localize({k});
+    w.Barrier();
+  });
+
+  EXPECT_EQ(system.OwnerOf(k), 2);
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchOp) - ops_before, 1);
+  EXPECT_EQ(net.MessagesOfType(net::MsgType::kBatchResp) - resps_before, 0);
+  std::vector<Val> buf(2);
+  system.GetValue(k, buf.data());
+  EXPECT_EQ(buf, (std::vector<Val>{1.0f, 4.0f}));
 }
 
 }  // namespace

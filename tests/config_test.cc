@@ -229,17 +229,6 @@ TEST(ConfigValidationTest, FlushIntervalAtStalenessBoundPasses) {
   cfg.Normalize();  // must not die
 }
 
-TEST(ConfigValidationTest, FlushKnobsIgnoredWithAggregationOff) {
-  // With write-through (aggregation off) the flush knobs are dead; bad
-  // values must not kill an otherwise valid deployment.
-  ps::Config cfg = ValidConfig();
-  cfg.replication = true;
-  cfg.replica_write_aggregation = false;
-  cfg.replica_flush_micros = 0;
-  cfg.replica_flush_max_folds = 0;
-  cfg.Normalize();  // must not die
-}
-
 // ---- policy unpin knobs ------------------------------------------------
 
 TEST(ConfigValidationDeathTest, UnreplicateFractionOutOfRangeDies) {
@@ -341,12 +330,6 @@ ps::Config ValidAdaptiveFlushConfig() {
 TEST(ConfigValidationTest, AdaptiveFlushDefaultsAreValid) {
   ps::Config cfg = ValidAdaptiveFlushConfig();
   cfg.Normalize();  // must not die
-}
-
-TEST(ConfigValidationDeathTest, AdaptiveFlushNeedsAggregation) {
-  ps::Config cfg = ValidAdaptiveFlushConfig();
-  cfg.replica_write_aggregation = false;
-  EXPECT_DEATH(cfg.Normalize(), "adaptive_flush");
 }
 
 TEST(ConfigValidationDeathTest, ZeroFlushFoldsFloorDies) {

@@ -223,7 +223,6 @@ TEST(ProtocolEdgeTest, ImmediatePushArrivingMidRelocationIsQueuedNotDropped) {
   // kArriving window. Dropping it would lose the folded update.
   Config cfg = EdgeConfig(3, 1);
   cfg.replication = true;
-  cfg.replica_write_aggregation = true;
   cfg.replica_staleness_micros = 60'000'000;
   cfg.replica_flush_micros = 60'000'000;  // folds stay pending until
   cfg.replica_flush_max_folds = 1'000'000;  // the invalidation drains them

@@ -32,7 +32,6 @@ ps::ReplicaManager MakeAggregating(const ps::KeyLayout* layout,
                                    uint32_t max_folds = 4,
                                    int64_t flush_micros = 50'000'000) {
   return ps::ReplicaManager(layout, /*staleness_micros=*/50'000'000,
-                            /*aggregate_writes=*/true,
                             flush_micros, max_folds);
 }
 

@@ -11,10 +11,10 @@
 #include "util/timer.h"
 
 // Replica-serving reads for contended read-mostly keys: ReplicaManager
-// semantics (pin/read/install/accumulate/invalidate), the end-to-end
-// replica path through Worker/Server (pull-through refresh, write-through
-// pushes, invalidation on ownership moves), and a churn stress test that
-// interleaves replicated pulls, pushes, relocation, and eviction.
+// semantics (pin/read/install/invalidate), the end-to-end replica path
+// through Worker/Server (pull-through refresh, folded pushes, invalidation
+// on ownership moves), and a churn stress test that interleaves replicated
+// pulls, pushes, relocation, and eviction.
 
 namespace lapse {
 namespace {
@@ -28,7 +28,8 @@ ps::KeyLayout TestLayout() {
 
 TEST(ReplicaManagerTest, PinInstallReadInvalidateCycle) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
+                        /*flush_micros=*/100'000, /*flush_max_folds=*/32);
   const Key k = 3;
   std::vector<Val> buf(4, -1.0f);
 
@@ -70,7 +71,8 @@ TEST(ReplicaManagerTest, PinInstallReadInvalidateCycle) {
 
 TEST(ReplicaManagerTest, CopyOlderThanStalenessBoundIsNotServed) {
   const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/1);
+  ps::ReplicaManager rm(&layout, /*staleness_micros=*/1,
+                        /*flush_micros=*/1, /*flush_max_folds=*/32);
   const Key k = 5;
   rm.Pin(k);
   const std::vector<Val> v(4, 7.0f);
@@ -79,63 +81,6 @@ TEST(ReplicaManagerTest, CopyOlderThanStalenessBoundIsNotServed) {
   std::vector<Val> buf(4);
   EXPECT_FALSE(rm.TryRead(k, buf.data()));
   EXPECT_GT(rm.stats().stale_misses, 0);
-}
-
-TEST(ReplicaManagerTest, AccumulateFoldsIntoPresentCopyOnly) {
-  const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
-  const Key k = 2;
-  const std::vector<Val> upd(4, 0.5f);
-  rm.Pin(k);
-  // No copy yet: accumulate folds nothing (the update reaches the owner
-  // via write-through; the next install brings it back) but still opens a
-  // write epoch, so refreshes that predate the push cannot install.
-  rm.Accumulate(k, upd.data());
-  std::vector<Val> buf(4);
-  EXPECT_FALSE(rm.TryRead(k, buf.data()));
-  rm.NoteWriteAcked(k);  // the owner applied the push
-
-  const std::vector<Val> v = {1.0f, 1.0f, 1.0f, 1.0f};
-  rm.Install(k, v.data(), /*issue_ns=*/NowNanos());
-  rm.Accumulate(k, upd.data());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  for (const Val x : buf) EXPECT_FLOAT_EQ(x, 1.5f);
-}
-
-// The write-through read-your-writes guarantee of the class doc: a
-// snapshot requested before this node's latest write settled never
-// overwrites the locally folded value.
-TEST(ReplicaManagerTest, WriteThroughReadYourWritesDropsStaleInstalls) {
-  const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000);
-  const Key k = 3;
-  const std::vector<Val> pre(4, 1.0f), upd(4, 0.5f);
-  std::vector<Val> buf(4);
-  rm.Pin(k);
-
-  // Write in flight (unacked): any snapshot install is refused, whatever
-  // its issue time -- it cannot be proven to include the write.
-  rm.Accumulate(k, upd.data());
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
-  EXPECT_FALSE(rm.TryRead(k, buf.data()));
-
-  // Acked: snapshots issued before the settle point are still dropped...
-  rm.NoteWriteAcked(k);
-  rm.Install(k, pre.data(), /*issue_ns=*/0);
-  EXPECT_FALSE(rm.TryRead(k, buf.data()));
-
-  // ...but one issued after the settle point installs cleanly.
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  EXPECT_FLOAT_EQ(buf[0], 1.0f);
-
-  // A fresh copy + a settled write: later installs keep working (the
-  // epoch does not wedge the key).
-  rm.Accumulate(k, upd.data());
-  rm.NoteWriteAcked(k);
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  EXPECT_FLOAT_EQ(buf[0], 1.0f);
 }
 
 // --------------------------------------------------- end-to-end path ----
@@ -213,48 +158,6 @@ TEST(ReplicaPathTest, WriteThroughKeepsOwnWritesVisibleAndReachesOwner) {
   EXPECT_FLOAT_EQ(final[3], 1.0f);
 }
 
-// Regression for the read-your-writes hole in write-through mode
-// (aggregation off): a pull-through refresh in flight while a push goes
-// out must not install its pre-push snapshot over the write. Before the
-// per-key write epoch, the refresh response (requested before the push
-// settled) would install and later replica reads served the key WITHOUT
-// this node's own write.
-TEST(ReplicaPathTest, WriteThroughReadYourWritesSurvivesInFlightRefresh) {
-  ps::Config cfg = ReplicationConfig2Nodes();
-  cfg.replica_write_aggregation = false;  // plain write-through
-  // A real wire delay makes the interleaving deterministic: the pull's
-  // response cannot arrive back before the worker issues the racing push
-  // a few instructions later.
-  cfg.latency.remote_base_ns = 2'000'000;
-  ps::PsSystem system(cfg);
-  const Key k = 40;  // homed (and owned) at node 1
-
-  system.Run([&](ps::Worker& w) {
-    if (w.node() != 0) return;
-    w.Replicate({k});
-    std::vector<Val> buf(4, -1.0f);
-    // Refresh in flight (the copy is absent, so this pull goes remote)...
-    const uint64_t pull_op = w.PullAsync({k}, buf.data());
-    // ...and a write-through push races it. The pull's snapshot predates
-    // the push; the push ack trails the pull response on the same
-    // owner-to-replica connection.
-    const std::vector<Val> upd(4, 1.0f);
-    const uint64_t push_op = w.PushAsync({k}, upd.data());
-    w.Wait(pull_op);
-    w.Wait(push_op);
-    // Every read after the push completes must observe the write, whether
-    // it is served by the replica or goes remote again.
-    std::vector<Val> after(4, -1.0f);
-    w.Pull({k}, after.data());
-    EXPECT_FLOAT_EQ(after[0], 1.0f);
-    EXPECT_FLOAT_EQ(after[3], 1.0f);
-  });
-
-  std::vector<Val> final(4);
-  system.GetValue(k, final.data());
-  EXPECT_FLOAT_EQ(final[0], 1.0f);
-}
-
 TEST(ReplicaPathTest, OwnershipMoveInvalidatesTheReplica) {
   ps::Config cfg = ReplicationConfig2Nodes();
   ps::PsSystem system(cfg);
@@ -309,7 +212,7 @@ TEST(ReplicaPathTest, PullIfLocalCountsFreshReplicaAsLocal) {
 
 // -------------------------------------------------- churn stress (tsan) --
 
-// Interleaves replica-served pulls, write-through pushes, relocation of
+// Interleaves replica-served pulls, folded pushes, relocation of
 // the replicated key, and eviction, asserting the staleness contract the
 // whole time: a replica-served read returns a value the then-current
 // owner held at most staleness + one fetch round-trip ago. Ownership
@@ -357,8 +260,8 @@ TEST(ReplicaChurnStressTest, StalenessHoldsAcrossRelocationAndEviction) {
     const std::vector<Val> zero(4, 0.0f);
     Timer t;
     if (w.node() == 0) {
-      // Reader: replica-served pulls + occasional write-through pushes
-      // of zero (exercises Accumulate without perturbing the counter).
+      // Reader: replica-served pulls + occasional pushes of zero
+      // (exercise folds and flushes without perturbing the counter).
       w.Replicate({k});
       int64_t reads = 0;
       // Extend past the nominal run until at least one replica-served

@@ -37,8 +37,8 @@ TEST(BroadcastOpsTest, RemoteAccessUsesNMessages) {
     w.Pull({0}, buf.data());  // key 0 homed at node 0: remote for node 2
   });
   auto& s = system.net_stats();
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPull), kNodes - 1);
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPullResp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchOp), kNodes - 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchResp), 1);
 }
 
 TEST(BroadcastOpsTest, PushAndPullCorrect) {
@@ -76,8 +76,8 @@ TEST(BroadcastRelocationsTest, RemoteAccessUsesTwoMessages) {
     w.Pull({0}, buf.data());
   });
   auto& s = system.net_stats();
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPull), 1);
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPullResp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchOp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchResp), 1);
 }
 
 TEST(BroadcastRelocationsTest, RelocationUsesNMessages) {
